@@ -16,10 +16,7 @@ Three design points the paper discusses but does not evaluate:
 import pytest
 
 from repro.analysis import format_table
-from repro.sim.paradigms import FinePackParadigm, make_paradigm
-from repro.sim.runner import ExperimentConfig, compare_paradigms
-from repro.sim.system import MultiGPUSystem
-from repro.workloads import CTWorkload, PagerankWorkload, SSSPWorkload
+from repro.run import RunContext, RunSpec, TraceCache, labeled_sweep
 
 
 def _timeout_sweep():
@@ -91,11 +88,12 @@ def _timeout_sweep():
 
 
 def _window_sweep():
-    trace = CTWorkload().generate_trace(n_gpus=4, iterations=2, seed=7)
+    base = RunSpec(workload="ct", paradigm="finepack", n_gpus=4, iterations=2)
+    cache = TraceCache()
     rows = []
     for windows in (1, 2, 4, 8):
-        system = MultiGPUSystem.build(n_gpus=4)
-        m = system.run(trace, FinePackParadigm(windows=windows))
+        spec = base.with_options(paradigm_params={"windows": windows})
+        m = RunContext(spec, cache).run()
         rows.append(
             [
                 windows,
@@ -151,14 +149,17 @@ def test_ablation_atomic_port(benchmark, emit):
     def run():
         out = {}
         for use_atomics in (False, True):
-            res = compare_paradigms(
-                PagerankWorkload(n=40_000, use_atomics=use_atomics),
-                paradigms=("p2p", "finepack"),
-                config=ExperimentConfig(iterations=2),
+            base = RunSpec(
+                workload="pagerank",
+                workload_params={"n": 40_000, "use_atomics": use_atomics},
+                iterations=2,
             )
+            res = labeled_sweep(
+                {p: base.with_options(paradigm=p) for p in ("p2p", "finepack")}
+            ).by_label()
             out["atomicAdd port" if use_atomics else "store port"] = (
-                res.speedup("p2p"),
-                res.speedup("finepack"),
+                res["p2p"].speedup,
+                res["finepack"].speedup,
             )
         return out
 

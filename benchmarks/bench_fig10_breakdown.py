@@ -8,8 +8,7 @@ bulk DMA in aggregate (paper: 1.3x) and ~24% less than cacheline write
 combining alone.
 """
 
-from repro.analysis import breakdown_rows, data_reduction_factors, format_table
-from repro.sim.runner import geomean
+from repro.analysis import breakdown_rows, data_reduction_factors, format_table, geomean
 
 
 def test_fig10_byte_breakdown(benchmark, suite_results, emit):
@@ -60,5 +59,5 @@ def test_fig10_byte_breakdown(benchmark, suite_results, emit):
         assert p2p[3] > 0.5 * p2p[2], name
     # On the heavy-redundancy app, P2P moves several times more data
     # than FinePack (paper: order-of-magnitude class gaps).
-    sssp = suite_results["sssp"]
-    assert sssp.runs["p2p"].wire_bytes > 2.5 * sssp.runs["finepack"].wire_bytes
+    sssp = suite_results["sssp"].by_label()
+    assert sssp["p2p"].metrics.wire_bytes > 2.5 * sssp["finepack"].metrics.wire_bytes

@@ -16,19 +16,13 @@ alone always trails FinePack in wire bytes (Sec. VI-A: ~24%).
 
 import numpy as np
 
-from repro.analysis import format_table
+from repro import registry
+from repro.analysis import format_table, geomean
 from repro.gpu.compute import KernelWork
 from repro.gpu.memory import MemorySpace
-from repro.sim.paradigms import GPSParadigm
-from repro.sim.runner import ExperimentConfig, compare_paradigms, geomean
+from repro.run import RunSpec, labeled_sweep
 from repro.trace.intervals import IntervalSet
-from repro.trace.stream import (
-    DMATransfer,
-    IterationTrace,
-    KernelPhase,
-    RemoteStoreBatch,
-    WorkloadTrace,
-)
+from repro.trace.stream import DMATransfer, KernelPhase, RemoteStoreBatch
 from repro.workloads import MultiGPUWorkload, push_elements
 from repro.workloads.base import interleave
 from repro.workloads.datasets import partition_bounds
@@ -48,7 +42,7 @@ class _BroadcastWorkload(MultiGPUWorkload):
     def __init__(self, n: int = 24_000):
         self.n = n
 
-    def generate_trace(self, n_gpus, iterations=3, seed=7):
+    def iter_phases(self, n_gpus, iterations=3, seed=7):
         bounds = partition_bounds(self.n, n_gpus)
         memory = MemorySpace(n_gpus)
         buf = memory.alloc_replicated("broadcast.data", self.n * 32)
@@ -88,34 +82,41 @@ class _BroadcastWorkload(MultiGPUWorkload):
                     dma=dma,
                 )
             )
-        return WorkloadTrace(
-            name=self.name,
-            n_gpus=n_gpus,
-            iterations=[IterationTrace(phases)] * iterations,
-            metadata={},
-        )
+        # Every iteration repeats the same exchange.
+        for i in range(iterations):
+            for phase in phases:
+                yield i, phase
+        return {}
+
+
+registry.workloads.add(_BroadcastWorkload.name, _BroadcastWorkload, replace=True)
 
 
 def test_gps_and_wc_comparison(benchmark, suite_results, emit):
     def collect():
         rows = []
         for name, res in suite_results.items():
+            by = res.by_label()
             rows.append(
                 [
                     name,
-                    res.speedup("finepack"),
-                    res.speedup("gps"),
-                    res.speedup("wc"),
-                    res.runs["wc"].wire_bytes / max(res.runs["finepack"].wire_bytes, 1),
+                    by["finepack"].speedup,
+                    by["gps"].speedup,
+                    by["wc"].speedup,
+                    by["wc"].metrics.wire_bytes
+                    / max(by["finepack"].metrics.wire_bytes, 1),
                 ]
             )
         # The broadcast regime: consumers read a quarter of what they
         # receive, clustered -- GPS's home turf.
-        bc = compare_paradigms(
-            _BroadcastWorkload(),
-            paradigms=("finepack", GPSParadigm(subscription="learned"), "p2p"),
-            config=ExperimentConfig(iterations=4),
-        )
+        base = RunSpec(workload="broadcast", iterations=4)
+        bc = labeled_sweep({
+            "finepack": base,
+            "gps": base.with_options(
+                paradigm="gps", paradigm_params={"subscription": "learned"}
+            ),
+            "p2p": base.with_options(paradigm="p2p"),
+        }).by_label()
         return rows, bc
 
     rows, bc = benchmark.pedantic(collect, rounds=1, iterations=1)
@@ -131,9 +132,7 @@ def test_gps_and_wc_comparison(benchmark, suite_results, emit):
         rows,
         float_fmt="{:.2f}",
     )
-    bc_fp, bc_gps, bc_p2p = (
-        bc.speedup("finepack"), bc.speedup("gps"), bc.speedup("p2p")
-    )
+    bc_fp, bc_gps, bc_p2p = (bc[p].speedup for p in ("finepack", "gps", "p2p"))
     table += (
         f"\nbroadcast regime (consumers read 25% of what they receive): "
         f"GPS {bc_gps:.2f} vs FinePack {bc_fp:.2f} vs raw P2P {bc_p2p:.2f} "

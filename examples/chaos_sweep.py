@@ -15,18 +15,14 @@ where ``scenario`` is a preset name (see ``python -m repro chaos
 
 import sys
 
-from repro import ExperimentConfig
 from repro.faults import (
     DegradedRunError,
-    FaultInjector,
     chaos_sweep,
     format_chaos_table,
     list_scenarios,
     load_scenario,
 )
-from repro.run import RunSpec
-from repro.sim.system import MultiGPUSystem
-from repro.workloads import JacobiWorkload
+from repro.run import RunContext, RunSpec
 
 
 def main() -> None:
@@ -36,8 +32,8 @@ def main() -> None:
     print(f"Presets available: {', '.join(list_scenarios())}\n")
 
     # The degradation curve: every paradigm, five intensity rungs.
-    config = ExperimentConfig(n_gpus=4, iterations=3)
-    result = chaos_sweep(JacobiWorkload(), schedule, config=config)
+    base = RunSpec(workload="jacobi", n_gpus=4, iterations=3)
+    result = chaos_sweep(base, schedule)
     print(format_chaos_table(result))
 
     for point in result.points:
@@ -48,17 +44,13 @@ def main() -> None:
     # Graceful degradation, driven by hand: partition the topology and
     # catch the partial metrics.
     print("\nPartitioning gpu0 off the switch mid-run ...")
-    system = MultiGPUSystem.build(
-        n_gpus=4,
-        topology_kind="single_switch",
-        fault_injector=FaultInjector(load_scenario("partition")),
+    partition = base.with_options(
+        seed=0,
+        topology="single_switch",
+        scenario=load_scenario("partition").to_json(indent=None),
     )
-    trace = JacobiWorkload().generate_trace(n_gpus=4, iterations=3, seed=0)
     try:
-        paradigm = RunSpec.for_workload(
-            JacobiWorkload(), "finepack", **config.spec_fields()
-        ).build_paradigm()
-        system.run(trace, paradigm)
+        RunContext(partition).run()
         raise AssertionError("partition scenario should degrade the run")
     except DegradedRunError as err:
         m = err.metrics

@@ -4,8 +4,9 @@
 Shows everything a new multi-GPU application needs to be evaluated
 under every communication paradigm: subclass
 :class:`~repro.workloads.MultiGPUWorkload`, partition your problem,
-and describe each iteration's kernel (compute work, remote stores,
-read sets, and the memcpy plan).
+describe each iteration's kernel (compute work, remote stores, read
+sets, and the memcpy plan) in :meth:`iter_phases`, and register the
+class so a :class:`~repro.run.RunSpec` can name it.
 
 The example models a distributed histogram: each GPU processes a shard
 of samples and pushes 8-byte bin updates into the peer replicas of a
@@ -17,21 +18,12 @@ FinePack targets.
 
 import numpy as np
 
-# compare_paradigms/ExperimentConfig are maintained shims over the run
-# layer (RunSpec + execute_grid); see docs/architecture.md, "Migration
-# from the legacy entry points".
-from repro import ExperimentConfig, compare_paradigms
+from repro import RunSpec, labeled_sweep, registry
 from repro.analysis import format_table
 from repro.gpu.compute import KernelWork
 from repro.gpu.memory import MemorySpace
 from repro.sim import render_comparison
-from repro.trace.stream import (
-    DMATransfer,
-    IterationTrace,
-    KernelPhase,
-    RemoteStoreBatch,
-    WorkloadTrace,
-)
+from repro.trace.stream import DMATransfer, KernelPhase, RemoteStoreBatch
 from repro.workloads import MultiGPUWorkload, contiguous_interval, push_elements
 from repro.workloads.base import interleave
 from repro.workloads.datasets import partition_bounds
@@ -54,7 +46,9 @@ class HistogramWorkload(MultiGPUWorkload):
         self.n_bins = n_bins
         self.total_samples = total_samples
 
-    def generate_trace(self, n_gpus, iterations=3, seed=7):
+    def iter_phases(self, n_gpus, iterations=3, seed=7):
+        """Yield ``(iteration, KernelPhase)`` for every GPU of every
+        iteration; the return value is the trace metadata."""
         rng = np.random.default_rng(seed)
         bounds = partition_bounds(self.n_bins, n_gpus)
         memory = MemorySpace(n_gpus)
@@ -62,9 +56,7 @@ class HistogramWorkload(MultiGPUWorkload):
         # Strong scaling: the sample set is fixed, each GPU gets a shard.
         shard = self.total_samples // n_gpus
 
-        iteration_traces = []
-        for _ in range(iterations):
-            phases = []
+        for i in range(iterations):
             for g in range(n_gpus):
                 # Heavy-tailed bin popularity (Zipf-ish).
                 u = rng.random(shard)
@@ -98,30 +90,26 @@ class HistogramWorkload(MultiGPUWorkload):
                     hist.replicas[g] + int(bounds[g]) * 8,
                     (int(bounds[g + 1]) - int(bounds[g])) * 8,
                 )
-                phases.append(
-                    KernelPhase(
-                        gpu=g,
-                        work=work,
-                        stores=RemoteStoreBatch.concat(batches),
-                        reads=reads,
-                        dma=dma,
-                    )
+                yield i, KernelPhase(
+                    gpu=g,
+                    work=work,
+                    stores=RemoteStoreBatch.concat(batches),
+                    reads=reads,
+                    dma=dma,
                 )
-            iteration_traces.append(IterationTrace(phases))
-        return WorkloadTrace(
-            name=self.name,
-            n_gpus=n_gpus,
-            iterations=iteration_traces,
-            metadata={"n_bins": self.n_bins},
-        )
+        return {"n_bins": self.n_bins}
+
+
+# Registration makes "histogram" a workload name every RunSpec (and the
+# CLI) resolves.  replace=True keeps re-running this file in one
+# interpreter (tests, notebooks) from tripping the duplicate-name check.
+registry.workloads.add(HistogramWorkload.name, HistogramWorkload, replace=True)
 
 
 def main() -> None:
-    workload = HistogramWorkload()
-    result = compare_paradigms(
-        workload,
-        paradigms=("p2p", "dma", "finepack", "infinite"),
-        config=ExperimentConfig(iterations=3),
+    spec = RunSpec(workload="histogram", iterations=3)
+    result = labeled_sweep(
+        {p: spec.with_options(paradigm=p) for p in ("p2p", "dma", "finepack", "infinite")}
     )
     print(
         format_table(
@@ -129,18 +117,18 @@ def main() -> None:
             ["paradigm", "speedup", "wire_MB", "stores/pkt"],
             [
                 [
-                    p,
-                    result.speedup(p),
-                    result.runs[p].wire_bytes / 1e6,
-                    result.runs[p].packets.mean_stores_per_packet,
+                    p.label,
+                    p.speedup,
+                    p.metrics.wire_bytes / 1e6,
+                    p.metrics.packets.mean_stores_per_packet,
                 ]
-                for p in result.runs
+                for p in result.points
             ],
             float_fmt="{:.2f}",
         )
     )
     print()
-    print(render_comparison(result.runs))
+    print(render_comparison({p.label: p.metrics for p in result.points}))
 
 
 if __name__ == "__main__":

@@ -13,40 +13,37 @@ Reproduces the paper's two sensitivity studies on one workload:
     python examples/design_space_exploration.py
 """
 
-from repro import ExperimentConfig, FinePackConfig, MultiGPUSystem
+from repro import FinePackConfig, RunSpec, TraceCache, labeled_sweep
 from repro.analysis import format_table
 from repro.interconnect import GENERATIONS
-from repro.sim.paradigms import FinePackParadigm, make_paradigm
-from repro.workloads import SSSPWorkload
 
 
 def main() -> None:
-    workload = SSSPWorkload()
-    trace = workload.generate_trace(n_gpus=4, iterations=3, seed=7)
-    single = workload.generate_trace(n_gpus=1, iterations=3, seed=7)
-    t1 = (
-        MultiGPUSystem.build(n_gpus=1)
-        .run(single, make_paradigm("infinite"))
-        .total_time_ns
-    )
+    base = RunSpec(workload="sssp", n_gpus=4, iterations=3)
+    # Both sweeps replay one trace against one 1-GPU baseline.
+    shared = dict(trace_cache=TraceCache(), baseline=base.single_gpu_baseline())
 
+    configs = {b: FinePackConfig(subheader_bytes=b) for b in (2, 3, 4, 5, 6)}
+    sweep = labeled_sweep(
+        {f"{b}B": base.with_options(paradigm="finepack", finepack=cfg)
+         for b, cfg in configs.items()},
+        **shared,
+    ).by_label()
     rows = []
-    for b in (2, 3, 4, 5, 6):
-        cfg = FinePackConfig(subheader_bytes=b)
-        system = MultiGPUSystem.build(n_gpus=4, finepack_config=cfg)
-        m = system.run(trace, FinePackParadigm(cfg))
+    for b, cfg in configs.items():
+        point = sweep[f"{b}B"]
         rows.append(
             [
                 b,
                 f"{cfg.window_bytes:,} B",
-                t1 / m.total_time_ns,
-                m.wire_bytes / 1e6,
-                m.packets.mean_stores_per_packet,
+                point.speedup,
+                point.metrics.wire_bytes / 1e6,
+                point.metrics.packets.mean_stores_per_packet,
             ]
         )
     print(
         format_table(
-            f"{workload.name}: sub-header size sweep (Fig. 12)",
+            f"{base.workload}: sub-header size sweep (Fig. 12)",
             ["subheader_B", "window", "speedup", "wire_MB", "stores/pkt"],
             rows,
             float_fmt="{:.2f}",
@@ -54,19 +51,20 @@ def main() -> None:
     )
 
     print()
-    rows = []
-    for gen in sorted(GENERATIONS):
-        generation = GENERATIONS[gen]
-        per_paradigm = []
-        for paradigm in ("p2p", "dma", "finepack"):
-            system = MultiGPUSystem.build(n_gpus=4, generation=generation)
-            m = system.run(trace, make_paradigm(paradigm))
-            per_paradigm.append(t1 / m.total_time_ns)
-        rows.append([generation.name, *per_paradigm])
+    paradigms = ("p2p", "dma", "finepack")
+    sweep = labeled_sweep(
+        {f"gen{gen}/{p}": base.with_options(paradigm=p, generation=GENERATIONS[gen])
+         for gen in sorted(GENERATIONS) for p in paradigms},
+        **shared,
+    ).by_label()
+    rows = [
+        [GENERATIONS[gen].name, *(sweep[f"gen{gen}/{p}"].speedup for p in paradigms)]
+        for gen in sorted(GENERATIONS)
+    ]
     print(
         format_table(
-            f"{workload.name}: interconnect bandwidth sweep (Fig. 13)",
-            ["link", "p2p", "dma", "finepack"],
+            f"{base.workload}: interconnect bandwidth sweep (Fig. 13)",
+            ["link", *paradigms],
             rows,
             float_fmt="{:.2f}",
         )

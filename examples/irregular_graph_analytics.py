@@ -12,25 +12,21 @@ Walks through the paper's motivation on PageRank and SSSP:
     python examples/irregular_graph_analytics.py
 """
 
-# compare_paradigms/ExperimentConfig are maintained shims over the run
-# layer (RunSpec + execute_grid); see docs/architecture.md, "Migration
-# from the legacy entry points".
-from repro import ExperimentConfig, compare_paradigms
+from repro import RunSpec, TraceCache, labeled_sweep
 from repro.analysis import breakdown_rows, format_table
 from repro.gpu import size_histogram
-from repro.workloads import PagerankWorkload, SSSPWorkload
 
 
 def main() -> None:
-    config = ExperimentConfig(n_gpus=4, iterations=3)
-    for workload in (PagerankWorkload(), SSSPWorkload()):
-        trace = workload.generate_trace(
-            n_gpus=config.n_gpus, iterations=config.iterations, seed=config.seed
-        )
+    for name in ("pagerank", "sssp"):
+        base = RunSpec(workload=name, n_gpus=4, iterations=3)
+        # One cache: the histogram's trace is the one every paradigm replays.
+        cache = TraceCache()
+        trace = cache.get_or_generate(base)
         hist = size_histogram(trace.all_store_sizes())
         print(
             format_table(
-                f"{workload.name}: remote-store sizes leaving the L1 (Fig. 4)",
+                f"{name}: remote-store sizes leaving the L1 (Fig. 4)",
                 ["bucket", "fraction"],
                 [[k, v] for k, v in hist.items()],
             )
@@ -38,28 +34,28 @@ def main() -> None:
         small = sum(v for k, v in hist.items() if k in ("<=4B", "<=8B", "<=16B", "<=32B"))
         print(f"  -> {small:.0%} of transfers carry <= 32 B payloads\n")
 
-        result = compare_paradigms(
-            workload,
-            paradigms=("p2p", "dma", "finepack", "infinite"),
-            config=config,
+        result = labeled_sweep(
+            {p: base.with_options(paradigm=p)
+             for p in ("p2p", "dma", "finepack", "infinite")},
+            trace_cache=cache,
         )
         print(
             format_table(
-                f"{workload.name}: wire bytes normalized to bulk DMA (Fig. 10)",
+                f"{name}: wire bytes normalized to bulk DMA (Fig. 10)",
                 ["workload", "paradigm", "useful", "overhead", "wasted", "total"],
                 breakdown_rows(result),
             )
         )
-        fp = result.runs["finepack"]
+        fp = result.by_label()["finepack"].metrics
         print(
             f"\n  FinePack packs {fp.packets.mean_stores_per_packet:.1f} "
             f"stores per transaction on average (Fig. 11)\n"
         )
         print(
             format_table(
-                f"{workload.name}: 4-GPU speedups (Fig. 9)",
+                f"{name}: 4-GPU speedups (Fig. 9)",
                 ["paradigm", "speedup"],
-                [[p, result.speedup(p)] for p in result.runs],
+                [[p.label, p.speedup] for p in result.points],
                 float_fmt="{:.2f}",
             )
         )

@@ -13,33 +13,31 @@ diffusion, hit (default: jacobi).
 
 import sys
 
-# compare_paradigms/ExperimentConfig are maintained shims over the run
-# layer (RunSpec + execute_grid); see docs/architecture.md, "Migration
-# from the legacy entry points".
-from repro import ExperimentConfig, compare_paradigms
+from repro import RunSpec, labeled_sweep, registry
 from repro.analysis import format_table
-from repro.workloads import WORKLOADS
 
 
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "jacobi"
-    if name not in WORKLOADS:
-        raise SystemExit(f"unknown workload {name!r}; pick from {sorted(WORKLOADS)}")
-    workload = WORKLOADS[name]()
+    if name not in registry.workloads:
+        raise SystemExit(
+            f"unknown workload {name!r}; pick from {registry.workloads.names()}"
+        )
+    pattern = registry.workloads.resolve(name).comm_pattern
 
-    print(f"Tracing '{name}' ({workload.comm_pattern} communication) ...")
-    result = compare_paradigms(
-        workload,
-        paradigms=("p2p", "dma", "finepack", "infinite"),
-        config=ExperimentConfig(n_gpus=4, iterations=3),
+    print(f"Tracing '{name}' ({pattern} communication) ...")
+    spec = RunSpec(workload=name, n_gpus=4, iterations=3)
+    result = labeled_sweep(
+        {p: spec.with_options(paradigm=p) for p in ("p2p", "dma", "finepack", "infinite")}
     )
 
     rows = []
-    for paradigm, run in result.runs.items():
+    for point in result.points:
+        run = point.metrics
         rows.append(
             [
-                paradigm,
-                result.speedup(paradigm),
+                point.label,
+                point.speedup,
                 run.total_time_ns / 1e6,
                 run.wire_bytes / 1e6,
                 run.goodput,
@@ -50,18 +48,18 @@ def main() -> None:
     print(
         format_table(
             f"{name}: 4-GPU results (single-GPU time "
-            f"{result.single_gpu.total_time_ns / 1e6:.3f} ms)",
+            f"{result.baseline.metrics.total_time_ns / 1e6:.3f} ms)",
             ["paradigm", "speedup", "time_ms", "wire_MB", "goodput", "stores/pkt"],
             rows,
         )
     )
-    fp = result.runs["finepack"]
-    p2p = result.runs["p2p"]
-    if fp.wire_bytes:
+    points = result.by_label()
+    fp, p2p = points["finepack"], points["p2p"]
+    if fp.metrics.wire_bytes:
         print(
-            f"\nFinePack moved {p2p.wire_bytes / fp.wire_bytes:.2f}x less "
+            f"\nFinePack moved {p2p.metrics.wire_bytes / fp.metrics.wire_bytes:.2f}x less "
             f"data than raw peer-to-peer stores and ran "
-            f"{result.speedup('finepack') / result.speedup('p2p'):.2f}x faster."
+            f"{fp.speedup / p2p.speedup:.2f}x faster."
         )
 
 

@@ -21,24 +21,25 @@ import sys
 
 from repro.analysis import format_link_timeline
 from repro.obs import InvariantChecker, Tracer, read_jsonl, write_chrome_trace, write_jsonl
+from repro import registry
 from repro.run import RunContext, RunSpec
-from repro.sim.paradigms import PARADIGMS
-from repro.workloads import WORKLOADS
 
 
 def main() -> None:
     workload = sys.argv[1] if len(sys.argv) > 1 else "jacobi"
     paradigm = sys.argv[2] if len(sys.argv) > 2 else "finepack"
-    if workload not in WORKLOADS:
-        raise SystemExit(f"unknown workload {workload!r}; pick from {sorted(WORKLOADS)}")
-    if paradigm not in PARADIGMS:
-        raise SystemExit(f"unknown paradigm {paradigm!r}; pick from {sorted(PARADIGMS)}")
+    if workload not in registry.workloads:
+        raise SystemExit(
+            f"unknown workload {workload!r}; pick from {registry.workloads.names()}"
+        )
+    if paradigm not in registry.paradigms:
+        raise SystemExit(
+            f"unknown paradigm {paradigm!r}; pick from {registry.paradigms.names()}"
+        )
 
     # The tracer records typed events and checks conservation invariants
     # online (byte conservation, link exclusivity, empty queues at
     # barriers); a violation raises InvariantViolation immediately.
-    # (Legacy form: run_workload(w, paradigm, config, tracer=tracer) --
-    # see the migration table in docs/architecture.md.)
     tracer = Tracer()
     spec = RunSpec(
         workload=workload, paradigm=paradigm, n_gpus=4, iterations=2

@@ -8,24 +8,20 @@ simulation substrate (GPU compute/caches/coalescing, PCIe/NVLink
 interconnects, discrete-event system model), the competing
 communication paradigms, and the eight-application workload suite.
 
-Quick start::
-
-    from repro import compare_paradigms, JacobiWorkload
-
-    result = compare_paradigms(JacobiWorkload())
-    print(result.speedups())
-
-Experiments are orchestrated through the run layer (see
+Every experiment is a :class:`RunSpec` run through the run layer (see
 ``docs/architecture.md``)::
 
-    from repro import RunSpec, RunContext, execute_grid
+    from repro import RunSpec, RunContext, labeled_sweep
 
     spec = RunSpec(workload="jacobi", paradigm="finepack", n_gpus=4)
     metrics = RunContext(spec).run()
-    outcomes = execute_grid(
-        [spec.with_options(paradigm=p) for p in ("p2p", "dma", "finepack")],
+
+    # The paper's core comparison: every paradigm plus the 1-GPU baseline.
+    sweep = labeled_sweep(
+        {p: spec.with_options(paradigm=p) for p in ("p2p", "dma", "finepack")},
         jobs=4,
     )
+    print({p.label: p.speedup for p in sweep.points})
 
 See ``examples/`` for complete scripts and ``benchmarks/`` for the
 per-figure reproduction harness.
@@ -62,16 +58,8 @@ from .run import (
     execute_grid,
     labeled_sweep,
 )
-from .sim import (
-    ComparisonResult,
-    ExperimentConfig,
-    MultiGPUSystem,
-    RunMetrics,
-    compare_paradigms,
-    geomean,
-    make_paradigm,
-    run_workload,
-)
+from .analysis import geomean
+from .sim import MultiGPUSystem, RunMetrics, make_paradigm
 from .workloads import (
     ALSWorkload,
     CTWorkload,
@@ -113,14 +101,10 @@ __all__ = [
     "TraceCache",
     "execute_grid",
     "labeled_sweep",
-    "ComparisonResult",
-    "ExperimentConfig",
     "MultiGPUSystem",
     "RunMetrics",
-    "compare_paradigms",
     "geomean",
     "make_paradigm",
-    "run_workload",
     "ALSWorkload",
     "CTWorkload",
     "DiffusionWorkload",

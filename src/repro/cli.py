@@ -13,7 +13,10 @@ Commands
 ``trace``
     Generate a workload trace and save it to an ``.npz`` file.
 ``replay``
-    Replay a saved trace under a paradigm.
+    Replay a saved trace under a paradigm; every system flag applies
+    exactly as it does for ``run``.
+``validate``
+    Run the invariant battery on one workload/paradigm.
 ``goodput``
     Print the Figure 2 goodput table.
 ``profile``
@@ -25,19 +28,21 @@ Commands
     Sweep a fault scenario's intensity across paradigms and print the
     degradation curve (see :mod:`repro.faults`).
 
-``run``, ``compare`` and ``sweep`` accept ``--error-rate P`` to give
-every link a baseline per-byte corruption probability (DLL replay
-injection); nonzero fault activity adds a per-link fabric-stats table
-to ``run`` output.  They also accept ``--topology KIND`` (any
-registered topology: ``fat_tree``, ``switched_mesh``, ``two_level``,
-``fully_connected``) plus factory knobs ``--fanout``,
-``--oversubscription`` and ``--planes``.
+``run``, ``replay``, ``compare`` and ``sweep`` accept ``--error-rate
+P`` to give every link a baseline per-byte corruption probability (DLL
+replay injection); nonzero fault activity adds a per-link fabric-stats
+table to ``run`` and ``replay`` output.  ``run``, ``compare`` and
+``sweep`` also accept ``--topology KIND`` (any registered topology:
+``fat_tree``, ``switched_mesh``, ``two_level``, ``fully_connected``)
+plus factory knobs ``--fanout``, ``--oversubscription`` and
+``--planes``.
 
-``run``, ``compare`` and ``sweep`` also accept ``--fidelity
-{des,analytical}``.  The default ``des`` replays every event through
-the discrete-event simulator; ``analytical`` predicts each run's
-metrics in closed form from trace statistics (orders of magnitude
-faster; calibrated against the DES, see ``docs/analytical.md``).
+``run``, ``replay``, ``compare`` and ``sweep`` also accept
+``--fidelity {des,analytical}``.  The default ``des`` replays every
+event through the discrete-event simulator; ``analytical`` predicts
+each run's metrics in closed form from trace statistics (orders of
+magnitude faster; calibrated against the DES, see
+``docs/analytical.md``).
 ``sweep --fidelity analytical --refine-top K`` confirms a cheap
 sweep's winners by re-running the K fastest points per workload at
 DES fidelity; every report table labels which model produced each row
@@ -71,15 +76,14 @@ import os
 import sys
 from typing import Sequence
 
+from . import registry
 from .analysis import format_table, goodput_curve
 from .core.config import FabricConfig, FinePackConfig
 from .interconnect.pcie import GENERATIONS
+from .run.context import RunContext
+from .run.spec import RunSpec
 from .sim.metrics import RunMetrics
-from .sim.paradigms import PARADIGMS, FinePackParadigm, make_paradigm
-from .sim.runner import ExperimentConfig, compare_paradigms, run_workload
-from .sim.system import MultiGPUSystem
 from .trace.tracefile import load_trace, save_trace
-from .workloads import WORKLOADS
 
 
 def _add_system_args(p: argparse.ArgumentParser) -> None:
@@ -320,12 +324,10 @@ def _check_jobs(args: argparse.Namespace) -> int:
     return args.jobs
 
 
-def _print_cache_stats(stats: dict | None, args: argparse.Namespace, out) -> None:
-    """Surface trace-cache traffic when the user opted into the new
-    execution machinery (the observable proof a warm cache skipped
-    trace generation)."""
-    if stats is None:
-        return
+def _print_cache_stats(stats: dict, args: argparse.Namespace, out) -> None:
+    """Surface trace-cache traffic when the user opted into worker
+    processes or a disk cache (the observable proof a warm cache
+    skipped trace generation)."""
     if args.jobs > 1 or args.trace_cache:
         print(
             f"trace cache: {stats['hits']} hit(s), {stats['misses']} "
@@ -346,31 +348,43 @@ def _trace_metadata(args: argparse.Namespace) -> dict:
     return meta
 
 
-def _config(args: argparse.Namespace) -> ExperimentConfig:
+def _spec_fields(args: argparse.Namespace) -> dict:
+    """The :class:`RunSpec` fields the shared system/topology flags set."""
     topology, topology_params = _topology_fields(args)
-    return ExperimentConfig(
-        n_gpus=args.gpus,
-        iterations=args.iterations,
-        seed=args.seed,
-        generation=GENERATIONS[args.gen],
-        finepack_config=FinePackConfig(subheader_bytes=args.subheader_bytes),
-        fabric=FabricConfig(error_rate=args.error_rate),
-        topology=topology,
-        topology_params=topology_params,
-        fidelity=getattr(args, "fidelity", "des"),
-    )
+    return {
+        "n_gpus": args.gpus,
+        "iterations": args.iterations,
+        "seed": args.seed,
+        "generation": GENERATIONS[args.gen],
+        "finepack": FinePackConfig(subheader_bytes=args.subheader_bytes),
+        "fabric": FabricConfig(error_rate=args.error_rate),
+        "topology": topology,
+        "topology_params": topology_params,
+        "fidelity": args.fidelity,
+    }
 
 
-def _check_fidelity(args: argparse.Namespace) -> str:
-    """Reject flag combinations the analytical tier cannot serve."""
-    fidelity = getattr(args, "fidelity", "des")
+def _spec(
+    args: argparse.Namespace, workload: str, paradigm: str = "finepack"
+) -> RunSpec:
+    """The spec one CLI run of a registered workload describes."""
+    return RunSpec.for_workload(_workload(workload), paradigm, **_spec_fields(args))
+
+
+def _check_fidelity(args: argparse.Namespace, des_only: str | None = None) -> str:
+    """Reject flag combinations the analytical tier cannot serve;
+    ``des_only`` is the error for commands that have no analytical
+    form at all."""
+    fidelity = args.fidelity
     if fidelity == "analytical":
+        if des_only:
+            raise SystemExit(des_only)
         if getattr(args, "trace_out", None):
             raise SystemExit(
                 "--trace-out records discrete events and requires "
                 "--fidelity des"
             )
-        if getattr(args, "error_rate", 0.0):
+        if args.error_rate:
             raise SystemExit(
                 "--error-rate injects event-ordered faults and requires "
                 "--fidelity des"
@@ -395,22 +409,25 @@ def _workload(name: str):
 
 
 def _print_metrics(m: RunMetrics, out) -> None:
+    """The metrics table, plus per-link fabric stats when faults fired."""
     rows = [[k, v] for k, v in m.summary().items()]
     print(format_table(f"{m.workload} / {m.paradigm}", ["metric", "value"], rows), file=out)
+    if m.faults.any:
+        from .analysis import format_link_stats_table
+
+        print(format_link_stats_table(m), file=out)
 
 
 def cmd_list(args, out) -> int:
-    from .registry import topologies
-
     rows = [
-        [name, cls().comm_pattern] for name, cls in sorted(WORKLOADS.items())
+        [name, cls().comm_pattern] for name, cls in registry.workloads.items()
     ]
     print(format_table("workloads", ["name", "communication"], rows), file=out)
     print(file=out)
-    rows = [[name] for name in sorted(PARADIGMS)]
+    rows = [[name] for name in registry.paradigms.names()]
     print(format_table("paradigms", ["name"], rows), file=out)
     print(file=out)
-    rows = [[name] for name, _ in sorted(topologies.items())]
+    rows = [[name] for name in registry.topologies.names()]
     print(format_table("topologies", ["name"], rows), file=out)
     return 0
 
@@ -425,14 +442,10 @@ def cmd_run(args, out) -> int:
         from .obs import Tracer
 
         tracer = Tracer()
-    metrics = run_workload(
-        _workload(workload_name), args.paradigm, _config(args), tracer=tracer
-    )
+    metrics = RunContext(
+        _spec(args, workload_name, args.paradigm), tracer=tracer
+    ).run()
     _print_metrics(metrics, out)
-    if metrics.faults.any:
-        from .analysis import format_link_stats_table
-
-        print(format_link_stats_table(metrics), file=out)
     if args.timeline:
         from .sim.timeline import render_timeline
 
@@ -485,7 +498,7 @@ def _expand_workloads(spec: str) -> list[str]:
 
 
 def cmd_sweep(args, out) -> int:
-    from .run import RunSpec, labeled_sweep, refine_top_k
+    from .run import labeled_sweep, refine_top_k
 
     jobs = _check_jobs(args)
     fidelity = _check_fidelity(args)
@@ -500,7 +513,6 @@ def cmd_sweep(args, out) -> int:
                 "fidelity and requires --fidelity analytical"
             )
     names = _expand_workloads(args.workload)
-    config = _config(args)
     tracers: dict[str, object] = {}
     tracer_factory = None
     if args.trace_out:
@@ -517,7 +529,7 @@ def cmd_sweep(args, out) -> int:
     failures = []
     resilience = _resilience_kwargs(args)
     for name in names:
-        base = RunSpec.for_workload(_workload(name), **config.spec_fields())
+        base = _spec(args, name)
         prefix = f"{name}:" if len(names) > 1 else ""
         if args.param == "subheader":
             labeled = {
@@ -571,7 +583,7 @@ def cmd_sweep(args, out) -> int:
              p.speedup, p.metrics.goodput,
              p.metrics.wire_bytes / 1e6,
              p.metrics.packets.mean_stores_per_packet]
-            for p in run.result.points
+            for p in run.points
         ]
     print(
         format_table(
@@ -599,31 +611,34 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_compare(args, out) -> int:
+    from .run import labeled_sweep
+
     jobs = _check_jobs(args)
     _check_fidelity(args)
-    result = compare_paradigms(
-        _workload(args.workload),
-        tuple(args.paradigms),
-        _config(args),
+    base = _spec(args, args.workload)
+    # Every paradigm column is needed: the comparison always runs strict.
+    resilience = {**_resilience_kwargs(args), "strict": True}
+    run = labeled_sweep(
+        {p: base.with_options(paradigm=p) for p in args.paradigms},
         jobs=jobs,
         trace_cache=args.trace_cache,
-        **_resilience_kwargs(args),
+        **resilience,
     )
     rows = [
         [
-            p,
-            _fidelity_label(result.runs[p]),
-            result.speedup(p),
-            result.runs[p].total_time_ns / 1e6,
-            result.runs[p].wire_bytes / 1e6,
-            result.runs[p].packets.mean_stores_per_packet,
+            p.label,
+            _fidelity_label(p.metrics),
+            p.speedup,
+            p.metrics.total_time_ns / 1e6,
+            p.metrics.wire_bytes / 1e6,
+            p.metrics.packets.mean_stores_per_packet,
         ]
-        for p in result.runs
+        for p in run.points
     ]
     print(
         format_table(
             f"{args.workload}: {args.gpus}-GPU comparison "
-            f"(1-GPU time {result.single_gpu.total_time_ns / 1e6:.3f} ms)",
+            f"(1-GPU time {run.baseline.metrics.total_time_ns / 1e6:.3f} ms)",
             ["paradigm", "fidelity", "speedup", "time_ms", "wire_MB",
              "stores/pkt"],
             rows,
@@ -631,7 +646,7 @@ def cmd_compare(args, out) -> int:
         ),
         file=out,
     )
-    _print_cache_stats(result.cache_stats, args, out)
+    _print_cache_stats(run.cache_stats(), args, out)
     return 0
 
 
@@ -650,28 +665,32 @@ def cmd_trace(args, out) -> int:
 
 
 def cmd_replay(args, out) -> int:
+    _check_fidelity(args)
     trace = load_trace(args.trace)
-    config = _config(args)
-    system = MultiGPUSystem.build(
-        n_gpus=trace.n_gpus,
-        generation=config.generation,
-        finepack_config=config.finepack_config,
+    # The saved trace fixes the shape; every other flag applies as in `run`.
+    spec = RunSpec(
+        workload=trace.name,
+        paradigm=args.paradigm,
+        **{
+            **_spec_fields(args),
+            "n_gpus": trace.n_gpus,
+            "iterations": trace.n_iterations,
+        },
     )
-    if args.paradigm == "finepack":
-        paradigm = FinePackParadigm(config.finepack_config)
-    else:
-        paradigm = make_paradigm(args.paradigm)
-    _print_metrics(system.run(trace, paradigm), out)
+    _print_metrics(RunContext(spec, trace=trace).run(), out)
     return 0
 
 
 def cmd_validate(args, out) -> int:
     from .sim.validation import validate
 
-    trace = _workload(args.workload).generate_trace(
-        n_gpus=args.gpus, iterations=args.iterations, seed=args.seed
+    _check_fidelity(
+        args,
+        des_only="validate checks discrete-event invariants and requires "
+        "--fidelity des",
     )
-    report = validate(trace, args.paradigm)
+    ctx = RunContext(_spec(args, args.workload, args.paradigm))
+    report = validate(ctx.trace, ctx.paradigm, ctx.system)
     print(report.summary(), file=out)
     print(
         ("all checks passed" if report.passed else "FAILURES DETECTED"), file=out
@@ -693,11 +712,11 @@ def cmd_chaos(args, out) -> int:
         return 0
     if args.workload is None:
         raise SystemExit("chaos: name a workload (or use --list)")
-    if getattr(args, "fidelity", "des") == "analytical":
-        raise SystemExit(
-            "chaos sweeps inject event-ordered faults and require "
-            "--fidelity des"
-        )
+    _check_fidelity(
+        args,
+        des_only="chaos sweeps inject event-ordered faults and require "
+        "--fidelity des",
+    )
     schedule = load_scenario(args.scenario)
     tracers: dict[str, object] = {}
     tracer_factory = None
@@ -710,11 +729,10 @@ def cmd_chaos(args, out) -> int:
 
     jobs = _check_jobs(args)
     result = chaos_sweep(
-        _workload(args.workload),
+        _spec(args, args.workload),
         schedule,
         intensities=tuple(args.intensities),
         paradigms=tuple(args.paradigms),
-        config=_config(args),
         topology_kind=args.topology,
         tracer_factory=tracer_factory,
         jobs=jobs,
@@ -755,13 +773,11 @@ def cmd_profile(args, out) -> int:
     import json
 
     from .perf.harness import profile_run
-    from .run import RunSpec, TraceCache
+    from .run import TraceCache
 
     if args.repeat < 1:
         raise SystemExit(f"--repeat must be >= 1, got {args.repeat}")
-    spec = RunSpec.for_workload(
-        _workload(args.workload), args.paradigm, **_config(args).spec_fields()
-    )
+    spec = _spec(args, args.workload, args.paradigm)
     # One in-memory cache across repeats: the first run pays trace
     # generation, later ones profile the simulator alone.
     cache = TraceCache(args.trace_cache) if args.trace_cache else TraceCache()
@@ -807,6 +823,9 @@ def cmd_goodput(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Read at call time, so paradigms registered after import are
+    # valid choices too.
+    paradigm_names = registry.paradigms.names()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="FinePack (HPCA 2023) reproduction experiments",
@@ -820,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one workload under one paradigm")
     p.add_argument("workload", nargs="?", default=None)
     p.add_argument(
-        "paradigm", nargs="?", default="finepack", choices=sorted(PARADIGMS)
+        "paradigm", nargs="?", default="finepack", choices=paradigm_names
     )
     p.add_argument(
         "--workload",
@@ -846,14 +865,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--paradigm",
         default="finepack",
-        choices=sorted(PARADIGMS),
+        choices=paradigm_names,
         help="paradigm for generation sweeps (default finepack)",
     )
     p.add_argument(
         "--paradigms",
         nargs="+",
         default=["p2p", "dma", "finepack"],
-        choices=sorted(PARADIGMS),
+        choices=paradigm_names,
         help="paradigm ladder for paradigm sweeps (default p2p dma "
         "finepack)",
     )
@@ -879,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--paradigms",
         nargs="+",
         default=["p2p", "dma", "finepack", "infinite"],
-        choices=sorted(PARADIGMS),
+        choices=paradigm_names,
     )
     _add_system_args(p)
     _add_topology_args(p)
@@ -894,13 +913,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="replay a saved trace")
     p.add_argument("trace")
-    p.add_argument("paradigm", choices=sorted(PARADIGMS))
+    p.add_argument("paradigm", choices=paradigm_names)
     _add_system_args(p)
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("validate", help="run the invariant battery")
     p.add_argument("workload")
-    p.add_argument("paradigm", choices=sorted(PARADIGMS))
+    p.add_argument("paradigm", choices=paradigm_names)
     _add_system_args(p)
     p.set_defaults(fn=cmd_validate)
 
@@ -921,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--paradigms",
         nargs="+",
         default=["p2p", "dma", "finepack"],
-        choices=sorted(PARADIGMS),
+        choices=paradigm_names,
     )
     p.add_argument(
         "--intensities",
@@ -955,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("workload")
     p.add_argument(
-        "paradigm", nargs="?", default="finepack", choices=sorted(PARADIGMS)
+        "paradigm", nargs="?", default="finepack", choices=paradigm_names
     )
     p.add_argument(
         "--scalar",

@@ -9,12 +9,12 @@ Runs that degrade past the point of completion
 ``DEGRADED`` rows carrying their partial metrics rather than aborting
 the sweep.
 
-The sweep is expressed as a :class:`repro.run.RunSpec` grid executed
-through :func:`repro.run.execute_grid`, so ``jobs=N`` fans the
-(intensity x paradigm) cells over worker processes with results
-byte-identical to the serial sweep.  Simulation modules are imported
-lazily so ``repro.faults`` stays importable from the interconnect
-layer without cycles.
+The sweep derives a :class:`repro.run.RunSpec` grid from a base spec
+and executes it through :func:`repro.run.execute_grid`, so ``jobs=N``
+fans the (intensity x paradigm) cells over worker processes with
+results byte-identical to the serial sweep.  Simulation modules are
+imported lazily so ``repro.faults`` stays importable from the
+interconnect layer without cycles.
 """
 
 from __future__ import annotations
@@ -68,14 +68,13 @@ class ChaosResult:
     scenario: str
     workload: str
     points: list[ChaosPoint] = field(default_factory=list)
-    #: Aggregate trace-cache traffic (``hits``/``misses``/``corrupt``)
-    #: when the sweep ran through the grid executor; ``None`` for the
-    #: in-process fallback path.  Excluded from :meth:`as_dict`.
-    cache_stats: dict | None = field(default=None, compare=False)
-    #: Executor retry/quarantine accounting (grid path only).
-    retry_stats: dict | None = field(default=None, compare=False)
-    #: Outcome-store traffic for the sweep (grid path only).
-    outcome_cache: dict | None = field(default=None, compare=False)
+    #: Aggregate trace-cache traffic (``hits``/``misses``/``corrupt``).
+    #: Excluded from :meth:`as_dict`, like the accounting below.
+    cache_stats: dict = field(default_factory=dict, compare=False)
+    #: Executor retry/quarantine accounting.
+    retry_stats: dict = field(default_factory=dict, compare=False)
+    #: Outcome-store traffic for the sweep.
+    outcome_cache: dict = field(default_factory=dict, compare=False)
     #: :class:`~repro.run.resilience.CellFailure` records of cells that
     #: exhausted their retry budget in a ``strict=False`` sweep; such
     #: cells have no :class:`ChaosPoint`.
@@ -114,11 +113,10 @@ class ChaosResult:
 
 
 def chaos_sweep(
-    workload,
+    base,
     schedule: FaultSchedule,
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
     paradigms: Sequence[str] = DEFAULT_PARADIGMS,
-    config=None,
     topology_kind: str | None = None,
     tracer_factory=None,
     jobs: int = 1,
@@ -129,13 +127,13 @@ def chaos_sweep(
 
     Parameters
     ----------
-    workload:
-        A workload object (``generate_trace`` provider).
+    base:
+        The :class:`repro.run.RunSpec` every cell derives from: its
+        workload, shape and fabric (whose retransmit parameters seed
+        the injector).  Each cell replaces its paradigm, scenario,
+        intensity, topology and credit mode.
     schedule:
         The scenario; each sweep point runs ``schedule.scaled(i)``.
-    config:
-        Optional :class:`~repro.sim.runner.ExperimentConfig`; its
-        fabric settings seed the injector's retransmit parameters.
     topology_kind:
         Overrides the scenario's topology hint (default: the scenario's
         hint, else ``single_switch``).
@@ -157,99 +155,63 @@ def chaos_sweep(
         ``retries``, ``retry``, ``outcome_store``, ``journal``,
         ``resume``.  With ``strict=False`` a cell that exhausts its
         retry budget lands in :attr:`ChaosResult.failures` instead of
-        aborting the sweep (crash-survivable chaos campaigns).  The
-        in-process fallback path for unregistered workloads ignores
-        them.
+        aborting the sweep (crash-survivable chaos campaigns).
 
-    The trace is generated once and shared by all points, so the sweep
-    isolates fabric behavior exactly like the paper's paradigm
-    comparisons.
+    Every cell shares one trace-cache address, so the trace is
+    generated once and the sweep isolates fabric behavior exactly like
+    the paper's paradigm comparisons.
     """
-    from ..run import GridExecutionError, RunSpec, execute_grid
-    from ..sim.runner import ExperimentConfig
+    from ..run import (
+        CellFailure,
+        GridExecutionError,
+        aggregate_cache_stats,
+        execute_grid,
+    )
 
-    config = config or ExperimentConfig()
     kind = topology_kind or schedule.topology or "single_switch"
     scenario_json = schedule.to_json(indent=None)
-
-    try:
-        base = RunSpec.for_workload(workload, **config.spec_fields())
-    except (ValueError, TypeError, KeyError):
-        base = None
-
     grid = [(i, name) for i in intensities for name in paradigms]
-    labels = [f"i{intensity:g}/{name}" for intensity, name in grid]
-    result = ChaosResult(scenario=schedule.name, workload=workload.name)
-
-    if base is not None:
-        specs = [
-            base.with_options(
-                paradigm=name,
-                intensity=float(intensity),
-                scenario=scenario_json,
-                topology=kind,
-                with_credits=schedule.with_credits,
-            )
-            for intensity, name in grid
-        ]
-        strict = resilience.pop("strict", True)
-        grid_outcome = execute_grid(
-            specs,
-            jobs=jobs,
-            trace_cache=trace_cache,
-            tracer_factory=tracer_factory,
-            labels=labels,
-            strict=False,
-            **resilience,
-        )
-        if strict and not grid_outcome.ok:
-            raise GridExecutionError(grid_outcome)
-        from ..run.resilience import CellFailure
-
-        for (intensity, name), cell in zip(grid, grid_outcome.cells):
-            if isinstance(cell, CellFailure):
-                result.failures.append(cell)
-                continue
-            result.points.append(
-                ChaosPoint(
-                    intensity,
-                    name,
-                    cell.metrics,
-                    degraded=cell.degraded,
-                    reasons=cell.reasons,
-                )
-            )
-        from ..run import aggregate_cache_stats
-
-        result.cache_stats = aggregate_cache_stats(grid_outcome)
-        result.retry_stats = dict(grid_outcome.retry_stats)
-        result.outcome_cache = dict(grid_outcome.outcome_cache)
-        return result
-
-    # In-process fallback for ad-hoc (unregistered) workload objects.
-    from ..run import RunContext
-    from ..sim.runner import _override_spec
-
-    trace = workload.generate_trace(
-        n_gpus=config.n_gpus, iterations=config.iterations, seed=config.seed
-    )
-    for label, (intensity, name) in zip(labels, grid):
-        spec = _override_spec(workload, config, name).with_options(
+    specs = [
+        base.with_options(
+            paradigm=name,
             intensity=float(intensity),
             scenario=scenario_json,
             topology=kind,
             with_credits=schedule.with_credits,
         )
-        tracer = tracer_factory(label) if tracer_factory is not None else None
-        ctx = RunContext(spec, workload=workload, trace=trace, tracer=tracer)
-        outcome = ctx.execute()
+        for intensity, name in grid
+    ]
+    strict = resilience.pop("strict", True)
+    grid_outcome = execute_grid(
+        specs,
+        jobs=jobs,
+        trace_cache=trace_cache,
+        tracer_factory=tracer_factory,
+        labels=[f"i{intensity:g}/{name}" for intensity, name in grid],
+        strict=False,
+        **resilience,
+    )
+    if strict and not grid_outcome.ok:
+        raise GridExecutionError(grid_outcome)
+
+    result = ChaosResult(
+        scenario=schedule.name,
+        workload=base.workload,
+        cache_stats=aggregate_cache_stats(grid_outcome),
+        retry_stats=dict(grid_outcome.retry_stats),
+        outcome_cache=dict(grid_outcome.outcome_cache),
+    )
+    for (intensity, name), cell in zip(grid, grid_outcome.cells):
+        if isinstance(cell, CellFailure):
+            result.failures.append(cell)
+            continue
         result.points.append(
             ChaosPoint(
                 intensity,
                 name,
-                outcome.metrics,
-                degraded=outcome.degraded,
-                reasons=outcome.reasons,
+                cell.metrics,
+                degraded=cell.degraded,
+                reasons=cell.reasons,
             )
         )
     return result

@@ -13,9 +13,9 @@ Layering (see ``docs/architecture.md``)::
     repro.run.executor      fans RunSpec grids over processes with a
                             content-addressed trace cache
 
-Everything the CLI, the sweeps, the chaos harness and the benchmarks
-previously hand-assembled (``MultiGPUSystem.build`` + paradigm +
-tracer + injector plumbing) now flows through :class:`RunContext`, so a
+The CLI, the chaos harness, the examples and the benchmarks all build
+:class:`RunSpec` values and run them through :class:`RunContext` (one
+run) or :func:`labeled_sweep` (a baseline plus labeled points), so a
 new knob is plumbed in exactly one place: add a :class:`RunSpec` field
 and consume it in the context.
 
@@ -28,6 +28,9 @@ Quick start::
 
     grid = [spec.with_options(paradigm=p) for p in ("p2p", "dma", "finepack")]
     outcomes = execute_grid(grid, jobs=4)      # parallel, order-preserving
+
+    sweep = labeled_sweep({s.paradigm: s for s in grid})  # + 1-GPU baseline
+    print(sweep.best().label, sweep.by_label()["finepack"].speedup)
 
 The executor is *supervised* (:mod:`repro.run.resilience`): per-cell
 futures with wall-clock timeouts, retry/backoff/quarantine for crashed
@@ -47,6 +50,7 @@ from .cache import CACHE_ENV, TraceCache
 from .context import RunContext, RunOutcome
 from .executor import (
     CellExecutionError,
+    SweepPoint,
     SweepRun,
     aggregate_cache_stats,
     execute_grid,
@@ -70,6 +74,7 @@ __all__ = [
     "RunOutcome",
     "TraceCache",
     "CACHE_ENV",
+    "SweepPoint",
     "SweepRun",
     "aggregate_cache_stats",
     "execute_grid",

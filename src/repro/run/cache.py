@@ -19,9 +19,7 @@ Two storage layers:
   read-only instead of each materializing a private copy.  Writes are
   atomic (temp directory + ``os.replace``) so concurrent workers
   racing on the same key are safe; corrupted or truncated entries are
-  deleted and regenerated, never fatal.  Legacy single-file
-  ``trace-<key>.npz`` entries written by earlier versions are still
-  read.
+  deleted and regenerated, never fatal.
 
 Cache traffic is counted in an :class:`~repro.obs.counters.CounterRegistry`
 (``trace_cache.hits`` / ``.misses`` / ``.corrupt``), which the executor
@@ -42,7 +40,6 @@ from ..trace.columns import DEFAULT_CHUNK_OPS
 from ..trace.stream import WorkloadTrace
 from ..trace.tracefile import (
     TraceDirWriter,
-    load_trace,
     load_trace_dir,
     save_trace_dir,
 )
@@ -133,20 +130,14 @@ class TraceCache:
             return None
         return self.root / f"trace-{trace_key}"
 
-    def _legacy_path_for(self, trace_key: str) -> Path | None:
-        if self.root is None:
-            return None
-        return self.root / f"trace-{trace_key}.npz"
-
     # -- the one entry point ----------------------------------------
 
-    def get_or_generate(self, spec, workload=None) -> WorkloadTrace:
+    def get_or_generate(self, spec) -> WorkloadTrace:
         """The trace for ``spec``, from cache or freshly generated.
 
-        ``workload`` optionally supplies a pre-built instance (the
-        in-process override path); otherwise the spec's registry name
-        is instantiated.  Every return path leaves the trace in the
-        memory layer; fresh generations are also persisted to disk.
+        A miss instantiates the spec's registered workload.  Every
+        return path leaves the trace in the memory layer; fresh
+        generations are also persisted to disk.
         """
         key = spec.trace_key()
         trace = self._memory.get(key)
@@ -161,8 +152,7 @@ class TraceCache:
             return trace
 
         self.counters.counter("trace_cache.misses").inc()
-        if workload is None:
-            workload = spec.build_workload()
+        workload = spec.build_workload()
         path = self.path_for(key)
         prof = _prof.ACTIVE
         if prof is not None:
@@ -194,16 +184,6 @@ class TraceCache:
                 # regenerate, never crash.
                 self.counters.counter("trace_cache.corrupt").inc()
                 shutil.rmtree(path, ignore_errors=True)
-        legacy = self._legacy_path_for(key)
-        if legacy is not None and legacy.exists():
-            try:
-                return load_trace(legacy)
-            except Exception:
-                self.counters.counter("trace_cache.corrupt").inc()
-                try:
-                    legacy.unlink()
-                except OSError:
-                    pass
         return None
 
     def _generate_streamed(self, path: Path, workload, spec) -> WorkloadTrace:

@@ -35,10 +35,9 @@ caller's, ``$REPRO_TRACE_CACHE``, or an ephemeral temp directory whose
 cleanup is also registered with :mod:`atexit`, so an interrupt cannot
 strand it).
 
-:func:`labeled_sweep` is the sweep-shaped convenience used by the CLI
-and benchmarks: labeled specs plus an automatically derived single-GPU
-baseline, folded into the familiar
-:class:`~repro.sim.sweep.SweepResult`.
+:func:`labeled_sweep` is the sweep-shaped convenience used by the CLI,
+examples and benchmarks: labeled specs plus an automatically derived
+single-GPU baseline, folded into a :class:`SweepRun` of speedups.
 """
 
 from __future__ import annotations
@@ -681,30 +680,59 @@ def aggregate_cache_stats(outcomes: Sequence[RunOutcome]) -> dict[str, int]:
     return total
 
 
+@dataclass(frozen=True)
+class SweepPoint:
+    """One labeled cell of a :class:`SweepRun` and its speedup over the
+    sweep's 1-GPU baseline."""
+
+    label: str
+    outcome: RunOutcome
+    speedup: float
+
+    @property
+    def metrics(self):
+        return self.outcome.metrics
+
+
 @dataclass
 class SweepRun:
-    """A labeled grid plus its baseline, shaped like the legacy sweep.
+    """A labeled grid plus the 1-GPU baseline its speedups normalize to.
 
-    ``result`` is a :class:`~repro.sim.sweep.SweepResult` (same
-    ``best()`` tie-break semantics as always); ``outcomes`` align with
-    ``result.points``; ``baseline`` is the 1-GPU normalization run.
-    ``failures`` holds the :class:`CellFailure` records of points that
-    exhausted their retry budget in a non-strict sweep (such points are
-    omitted from ``result``/``outcomes``).
+    ``points`` keep the input label order.  ``failures`` holds the
+    :class:`CellFailure` records of points that exhausted their retry
+    budget in a non-strict sweep (such points have no entry in
+    ``points``).
     """
 
-    result: object
     baseline: RunOutcome
-    outcomes: list[RunOutcome] = field(default_factory=list)
+    points: list[SweepPoint] = field(default_factory=list)
     failures: list[CellFailure] = field(default_factory=list)
     #: Outcome-store traffic for the whole sweep (zeros with no store).
     outcome_cache: dict = field(default_factory=dict)
     #: Executor retry/quarantine accounting for the whole sweep.
     retry_stats: dict = field(default_factory=dict)
 
+    @property
+    def workload(self) -> str:
+        return self.baseline.spec.workload
+
+    def by_label(self) -> dict[str, SweepPoint]:
+        return {p.label: p for p in self.points}
+
+    def best(self) -> SweepPoint:
+        """The maximum-speedup point; exact ties break by label, so the
+        result does not depend on the order the labels were given in."""
+        if not self.points:
+            raise ValueError("empty sweep")
+        top = max(p.speedup for p in self.points)
+        return min(
+            (p for p in self.points if p.speedup == top), key=lambda p: p.label
+        )
+
     def cache_stats(self) -> dict[str, int]:
         """Aggregate trace-cache traffic, baseline included."""
-        return aggregate_cache_stats([self.baseline, *self.outcomes])
+        outcomes = [self.baseline, *(p.outcome for p in self.points)]
+        return aggregate_cache_stats(outcomes)
 
 
 def labeled_sweep(
@@ -718,19 +746,16 @@ def labeled_sweep(
     """Run labeled specs plus a single-GPU baseline; report speedups.
 
     The baseline defaults to the first spec's
-    :meth:`~RunSpec.single_gpu_baseline`.  The baseline run is never
-    traced (matching the legacy ``sweep()``, whose ``tracer_factory``
-    only observed sweep points).
+    :meth:`~RunSpec.single_gpu_baseline` and is never traced:
+    ``tracer_factory`` observes the labeled points only.
 
     Extra keyword arguments (``strict``, ``timeout``, ``retries``,
     ``retry``, ``outcome_store``, ``journal``, ``resume``) pass through
     to :func:`execute_grid`.  A failing baseline is always fatal --
     speedups cannot be normalized without it -- while with
     ``strict=False`` failing sweep points are reported in
-    :attr:`SweepRun.failures` and omitted from the result table.
+    :attr:`SweepRun.failures` and omitted from :attr:`SweepRun.points`.
     """
-    from ..sim.sweep import SweepPoint, SweepResult
-
     if not labeled_specs:
         raise ValueError("empty sweep: no specs given")
     labels = list(labeled_specs)
@@ -766,15 +791,10 @@ def labeled_sweep(
         baseline_cell, point_cells = base_grid.cells[0], point_grid.cells
         grid = GridOutcome(
             cells=[baseline_cell, *point_cells],
-            retry_stats={
-                k: base_grid.retry_stats.get(k, 0) + point_grid.retry_stats.get(k, 0)
-                for k in base_grid.retry_stats
-            },
-            outcome_cache={
-                k: base_grid.outcome_cache.get(k, 0)
-                + point_grid.outcome_cache.get(k, 0)
-                for k in base_grid.outcome_cache
-            },
+            retry_stats=_sum_counters(base_grid.retry_stats, point_grid.retry_stats),
+            outcome_cache=_sum_counters(
+                base_grid.outcome_cache, point_grid.outcome_cache
+            ),
             journal_path=point_grid.journal_path,
         )
 
@@ -784,25 +804,14 @@ def labeled_sweep(
     if strict and failures:
         raise GridExecutionError(grid)
 
-    baseline_outcome = baseline_cell
-    t1 = baseline_outcome.metrics.total_time_ns
-    result = SweepResult(workload=specs[0].workload)
-    point_outcomes = []
-    for label, cell in zip(labels, point_cells):
-        if isinstance(cell, CellFailure):
-            continue
-        point_outcomes.append(cell)
-        result.points.append(
-            SweepPoint(
-                label=label,
-                metrics=cell.metrics,
-                speedup=t1 / cell.metrics.total_time_ns,
-            )
-        )
+    t1 = baseline_cell.metrics.total_time_ns
     return SweepRun(
-        result=result,
-        baseline=baseline_outcome,
-        outcomes=point_outcomes,
+        baseline=baseline_cell,
+        points=[
+            SweepPoint(label, cell, t1 / cell.metrics.total_time_ns)
+            for label, cell in zip(labels, point_cells)
+            if not isinstance(cell, CellFailure)
+        ],
         failures=failures,
         outcome_cache=dict(grid.outcome_cache),
         retry_stats=dict(grid.retry_stats),
@@ -810,8 +819,8 @@ def labeled_sweep(
 
 
 def _sum_counters(a: Mapping[str, int], b: Mapping[str, int]) -> dict:
-    """Key-wise sum of two counter dicts (union of keys)."""
-    return {k: a.get(k, 0) + b.get(k, 0) for k in {*a, *b}}
+    """Key-wise sum of two counter dicts (union of keys, ``a``'s first)."""
+    return {k: a.get(k, 0) + b.get(k, 0) for k in {**a, **b}}
 
 
 def refine_top_k(
@@ -834,17 +843,12 @@ def refine_top_k(
 
     Returns ``(merged sweep, refined labels)``.  ``k <= 0`` is a no-op.
     """
-    from ..sim.sweep import SweepResult
-
-    if k <= 0 or not sweep.result.points:
+    if k <= 0 or not sweep.points:
         return sweep, set()
-    ranked = sorted(
-        sweep.result.points, key=lambda p: p.speedup, reverse=True
-    )
-    top = [p.label for p in ranked[:k]]
+    ranked = sorted(sweep.points, key=lambda p: p.speedup, reverse=True)
     des_specs = {
-        label: labeled_specs[label].with_options(fidelity="des")
-        for label in top
+        p.label: labeled_specs[p.label].with_options(fidelity="des")
+        for p in ranked[:k]
     }
     refined = labeled_sweep(
         des_specs,
@@ -853,30 +857,14 @@ def refine_top_k(
         baseline=sweep.baseline.spec.with_options(fidelity="des"),
         **resilience,
     )
-    refined_points = {p.label: p for p in refined.result.points}
-    refined_outcomes = {o.spec.key(): o for o in refined.outcomes}
-    merged = SweepResult(workload=sweep.result.workload)
-    merged_outcomes: list[RunOutcome] = []
-    for point, outcome in zip(sweep.result.points, sweep.outcomes):
-        replacement = refined_points.get(point.label)
-        if replacement is not None:
-            merged.points.append(replacement)
-            merged_outcomes.append(
-                refined_outcomes.get(
-                    des_specs[point.label].key(), outcome
-                )
-            )
-        else:
-            merged.points.append(point)
-            merged_outcomes.append(outcome)
+    replacements = refined.by_label()
     return (
         SweepRun(
-            result=merged,
             baseline=refined.baseline,
-            outcomes=merged_outcomes,
+            points=[replacements.get(p.label, p) for p in sweep.points],
             failures=[*sweep.failures, *refined.failures],
             outcome_cache=_sum_counters(sweep.outcome_cache, refined.outcome_cache),
             retry_stats=_sum_counters(sweep.retry_stats, refined.retry_stats),
         ),
-        set(refined_points),
+        set(replacements),
     )

@@ -471,12 +471,6 @@ class InfiniteBandwidthParadigm(BulkDMAParadigm):
         return []
 
 
-#: Legacy name -> class view of :data:`repro.registry.paradigms` (the
-#: ``@_registry.register`` calls above).  Prefer the registry for
-#: lookups with did-you-mean suggestions.
-PARADIGMS: dict[str, type[Paradigm]] = dict(_registry.items())
-
-
 def make_paradigm(name: str, **kwargs) -> Paradigm:
     """Instantiate a paradigm by registry name.
 

@@ -47,9 +47,6 @@ from .stream import (
 
 _FORMAT_VERSION = 2
 
-#: Legacy alias of the shared schema (kept for external callers).
-_COLUMNS = COLUMNS
-
 
 # -- shared schema helpers ------------------------------------------
 

@@ -72,13 +72,6 @@ def small_suite() -> list[MultiGPUWorkload]:
     ]
 
 
-from ..registry import workloads as workload_registry
-
-#: Legacy name -> class view of :data:`repro.registry.workloads`; the
-#: submodule imports above performed the registrations.  Prefer
-#: ``registry.workloads.resolve(name)`` for lookups with suggestions.
-WORKLOADS = dict(workload_registry.items())
-
 __all__ = [
     "ALSWorkload",
     "AllGatherWorkload",
@@ -118,5 +111,4 @@ __all__ = [
     "SSSPWorkload",
     "default_suite",
     "small_suite",
-    "WORKLOADS",
 ]

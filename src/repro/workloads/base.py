@@ -37,11 +37,8 @@ class MultiGPUWorkload(abc.ABC):
     :class:`~repro.trace.columns.ColumnBlock` chunks for streaming
     consumers (the spill-while-generating trace cache), and
     :meth:`generate_trace` is a thin adapter assembling the blocks into
-    a whole :class:`WorkloadTrace`.
-
-    Subclasses implement :meth:`iter_phases`; legacy subclasses that
-    override only :meth:`generate_trace` keep working -- the default
-    :meth:`iter_phases` falls back to replaying the materialized trace.
+    a whole :class:`WorkloadTrace`.  Subclasses implement
+    :meth:`iter_phases`.
     """
 
     #: Short identifier used in reports ("jacobi", "sssp", ...).
@@ -49,23 +46,9 @@ class MultiGPUWorkload(abc.ABC):
     #: The paper's characterization of the communication pattern.
     comm_pattern: str = "unknown"
 
+    @abc.abstractmethod
     def iter_phases(self, n_gpus: int, iterations: int = 3, seed: int = 7):
-        """Yield ``(iteration, KernelPhase)``; return the metadata dict.
-
-        Default implementation streams a materialized
-        :meth:`generate_trace` result, for subclasses that only
-        override the legacy whole-trace method.
-        """
-        if type(self).generate_trace is MultiGPUWorkload.generate_trace:
-            raise TypeError(
-                f"{type(self).__name__} must override iter_phases() "
-                f"or generate_trace()"
-            )
-        trace = self.generate_trace(n_gpus, iterations=iterations, seed=seed)
-        for i, it in enumerate(trace.iterations):
-            for p in it.phases:
-                yield i, p
-        return dict(trace.metadata)
+        """Yield ``(iteration, KernelPhase)``; return the metadata dict."""
 
     def iter_columns(
         self,

@@ -7,16 +7,19 @@ from repro.analysis.breakdown import (
     data_reduction_factors,
     wasted_fraction,
 )
-from repro.sim.runner import ExperimentConfig, compare_paradigms
-from repro.workloads import PagerankWorkload
+from repro.run import RunSpec, labeled_sweep
 
 
 @pytest.fixture(scope="module")
 def comparison():
-    return compare_paradigms(
-        PagerankWorkload(n=8_000, avg_degree=8),
-        paradigms=("p2p", "dma", "finepack", "infinite"),
-        config=ExperimentConfig(iterations=2),
+    base = RunSpec(
+        workload="pagerank",
+        workload_params={"n": 8_000, "avg_degree": 8},
+        iterations=2,
+    )
+    return labeled_sweep(
+        {p: base.with_options(paradigm=p)
+         for p in ("p2p", "dma", "finepack", "infinite")}
     )
 
 
@@ -35,5 +38,5 @@ class TestBreakdown:
         assert factors["p2p"] > 1.2
 
     def test_wasted_fraction_bounds(self, comparison):
-        for run in comparison.runs.values():
-            assert 0.0 <= wasted_fraction(run) <= 1.0
+        for point in comparison.points:
+            assert 0.0 <= wasted_fraction(point.metrics) <= 1.0

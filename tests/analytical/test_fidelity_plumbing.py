@@ -100,11 +100,11 @@ class TestRefineTopK:
             for p in ("p2p", "finepack")
         }
         sweep = labeled_sweep(labeled)
-        assert all(p.metrics.fidelity == "analytical" for p in sweep.result.points)
+        assert all(p.metrics.fidelity == "analytical" for p in sweep.points)
         refined_run, refined_labels = refine_top_k(sweep, labeled, 1)
         assert len(refined_labels) == 1
-        assert len(refined_run.result.points) == len(sweep.result.points)
-        by_label = {p.label: p for p in refined_run.result.points}
+        assert len(refined_run.points) == len(sweep.points)
+        by_label = {p.label: p for p in refined_run.points}
         for label, point in by_label.items():
             expected = "des" if label in refined_labels else "analytical"
             assert point.metrics.fidelity == expected

@@ -3,40 +3,49 @@ the scaled-down suite."""
 
 import pytest
 
-from repro.sim.runner import ExperimentConfig, compare_paradigms, geomean
-from repro.workloads import (
-    CTWorkload,
-    JacobiWorkload,
-    PagerankWorkload,
-    SSSPWorkload,
-)
+from repro.analysis import geomean
+from repro.run import RunSpec, labeled_sweep
 
-CFG = ExperimentConfig(iterations=2)
+FIGURE9 = ("p2p", "dma", "finepack", "infinite")
+
+
+class Comparison:
+    """One workload under several paradigms plus the 1-GPU baseline."""
+
+    def __init__(self, workload: str, paradigms=FIGURE9, **params):
+        base = RunSpec(workload=workload, workload_params=params, iterations=2)
+        self.points = labeled_sweep(
+            {p: base.with_options(paradigm=p) for p in paradigms}
+        ).by_label()
+        self.runs = {label: p.metrics for label, p in self.points.items()}
+
+    def speedup(self, paradigm: str) -> float:
+        return self.points[paradigm].speedup
+
+    def speedups(self) -> dict[str, float]:
+        return {label: p.speedup for label, p in self.points.items()}
 
 
 @pytest.fixture(scope="module")
 def jacobi():
-    return compare_paradigms(JacobiWorkload(n=512), config=CFG)
+    return Comparison("jacobi", n=512)
 
 
 @pytest.fixture(scope="module")
 def pagerank():
     # Evaluation scale: the scaled-down variants are launch-overhead
     # dominated and compress the paradigm gaps.
-    return compare_paradigms(
-        PagerankWorkload(), paradigms=("p2p", "dma", "finepack", "wc", "infinite"),
-        config=CFG,
-    )
+    return Comparison("pagerank", paradigms=("p2p", "dma", "finepack", "wc", "infinite"))
 
 
 @pytest.fixture(scope="module")
 def sssp():
-    return compare_paradigms(SSSPWorkload(n=16_000), config=CFG)
+    return Comparison("sssp", n=16_000)
 
 
 @pytest.fixture(scope="module")
 def ct():
-    return compare_paradigms(CTWorkload(), config=CFG)
+    return Comparison("ct")
 
 
 class TestRegularApplications:

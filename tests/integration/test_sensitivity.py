@@ -4,10 +4,16 @@ import pytest
 
 from repro.core.config import FinePackConfig
 from repro.interconnect.pcie import PCIE_GEN4, PCIE_GEN6
-from repro.sim.paradigms import FinePackParadigm, make_paradigm
-from repro.sim.runner import ExperimentConfig, run_workload
+from repro.run import RunContext, RunSpec, TraceCache
+from repro.sim.paradigms import FinePackParadigm
 from repro.sim.system import MultiGPUSystem
-from repro.workloads import PagerankWorkload, SSSPWorkload
+from repro.workloads import PagerankWorkload
+
+
+def run_paradigms(base: RunSpec, *paradigms: str) -> list:
+    """Replay one trace (shared through a trace cache) per paradigm."""
+    cache = TraceCache()
+    return [RunContext(base.with_options(paradigm=p), cache).run() for p in paradigms]
 
 
 @pytest.fixture(scope="module")
@@ -44,24 +50,25 @@ class TestSubheaderSweep:
         assert abs(sweep[4] - sweep[5]) / sweep[5] < 0.10
 
 
+SSSP = RunSpec(workload="sssp", workload_params={"n": 16_000}, iterations=2)
+
+
 class TestBandwidthSweep:
     """Figure 13: more bandwidth helps, but baselines never catch
     FinePack at any step."""
 
     def test_gen6_faster_than_gen4_for_comm_bound(self):
-        w = SSSPWorkload(n=16_000)
-        t4 = run_workload(w, "p2p", ExperimentConfig(generation=PCIE_GEN4, iterations=2))
-        t6 = run_workload(w, "p2p", ExperimentConfig(generation=PCIE_GEN6, iterations=2))
+        base = SSSP.with_options(paradigm="p2p")
+        t4 = RunContext(base.with_options(generation=PCIE_GEN4)).run()
+        t6 = RunContext(base.with_options(generation=PCIE_GEN6)).run()
         assert t6.total_time_ns < t4.total_time_ns
 
     def test_finepack_not_behind_at_gen6(self):
         """At Gen6 both may become compute-bound; FinePack must still
         move far fewer bytes and not lose time beyond the flush tail."""
-        w = SSSPWorkload(n=16_000)
-        cfg = ExperimentConfig(generation=PCIE_GEN6, iterations=2)
-        trace = w.generate_trace(4, 2, cfg.seed)
-        p2p = run_workload(w, "p2p", cfg, trace=trace)
-        fp = run_workload(w, "finepack", cfg, trace=trace)
+        p2p, fp = run_paradigms(
+            SSSP.with_options(generation=PCIE_GEN6), "p2p", "finepack"
+        )
         assert fp.total_time_ns <= p2p.total_time_ns * 1.02
         assert fp.wire_bytes < p2p.wire_bytes
 
@@ -70,13 +77,15 @@ class TestScaling16GPU:
     """Sec. VI-B: FinePack keeps its advantage at 16 GPUs on PCIe 6."""
 
     def test_16_gpu_ordering(self):
-        w = PagerankWorkload(n=64_000, band_fraction=0.12)
-        cfg = ExperimentConfig(
-            n_gpus=16, generation=PCIE_GEN6, iterations=2, two_level=True
+        base = RunSpec(
+            workload="pagerank",
+            workload_params={"n": 64_000, "band_fraction": 0.12},
+            n_gpus=16,
+            generation=PCIE_GEN6,
+            iterations=2,
+            topology="two_level",
         )
-        trace = w.generate_trace(16, 2, cfg.seed)
-        p2p = run_workload(w, "p2p", cfg, trace=trace)
-        fp = run_workload(w, "finepack", cfg, trace=trace)
+        p2p, fp = run_paradigms(base, "p2p", "finepack")
         # At this (scaled-down) size Gen6 makes the run compute-bound;
         # FinePack must still slash wire traffic and at worst pay the
         # release-flush tail.

@@ -36,9 +36,9 @@ class TestParallelEqualsSerial:
         }
         serial = labeled_sweep(labeled, jobs=1)
         parallel = labeled_sweep(labeled, jobs=4)
-        assert serial.result.points == parallel.result.points
+        assert serial.points == parallel.points
         assert serial.baseline.metrics == parallel.baseline.metrics
-        assert serial.result.best() == parallel.result.best()
+        assert serial.best() == parallel.best()
 
     def test_best_tie_break_stable_across_jobs(self):
         """Two labels, one spec -> equal speedups; best() must pick the
@@ -46,35 +46,25 @@ class TestParallelEqualsSerial:
         labeled = {"zz": JACOBI, "aa": JACOBI}
         serial = labeled_sweep(labeled, jobs=1)
         parallel = labeled_sweep(labeled, jobs=2)
-        assert serial.result.best().label == "aa"
-        assert parallel.result.best().label == "aa"
+        assert serial.best().label == "aa"
+        assert parallel.best().label == "aa"
 
     def test_compare_paradigms_identical(self):
-        from repro.sim.runner import ExperimentConfig, compare_paradigms
-        from repro.workloads import JacobiWorkload
-
-        cfg = ExperimentConfig(n_gpus=2, iterations=1)
-        serial = compare_paradigms(
-            JacobiWorkload(n=64), ("p2p", "finepack"), cfg, jobs=1
-        )
-        parallel = compare_paradigms(
-            JacobiWorkload(n=64), ("p2p", "finepack"), cfg, jobs=2
-        )
-        assert serial.single_gpu == parallel.single_gpu
-        assert serial.runs == parallel.runs
+        labeled = {p: JACOBI.with_options(paradigm=p) for p in ("p2p", "finepack")}
+        serial = labeled_sweep(labeled, jobs=1)
+        parallel = labeled_sweep(labeled, jobs=2)
+        assert serial.baseline.metrics == parallel.baseline.metrics
+        assert [p.metrics for p in serial.points] == [
+            p.metrics for p in parallel.points
+        ]
 
     def test_chaos_sweep_identical(self):
         from repro.faults import chaos_sweep, load_scenario
-        from repro.sim.runner import ExperimentConfig
-        from repro.workloads import JacobiWorkload
 
-        cfg = ExperimentConfig(n_gpus=2, iterations=1)
         schedule = load_scenario("flaky-retimer")
-        kwargs = dict(
-            intensities=(0.0, 1.0), paradigms=("p2p", "finepack"), config=cfg
-        )
-        serial = chaos_sweep(JacobiWorkload(n=64), schedule, **kwargs)
-        parallel = chaos_sweep(JacobiWorkload(n=64), schedule, jobs=3, **kwargs)
+        kwargs = dict(intensities=(0.0, 1.0), paradigms=("p2p", "finepack"))
+        serial = chaos_sweep(JACOBI, schedule, **kwargs)
+        parallel = chaos_sweep(JACOBI, schedule, jobs=3, **kwargs)
         assert serial.points == parallel.points
 
 
@@ -148,10 +138,3 @@ class TestRunContextOverrides:
         ctx = RunContext(JACOBI, trace=trace)
         assert ctx.trace is trace
         assert ctx.run().total_time_ns > 0
-
-    def test_paradigm_override(self):
-        from repro.sim.paradigms import make_paradigm
-
-        p = make_paradigm("p2p")
-        ctx = RunContext(JACOBI, paradigm=p)
-        assert ctx.paradigm is p

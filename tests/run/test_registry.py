@@ -91,13 +91,6 @@ class TestGlobalRegistries:
         cls = registry.workloads.resolve("jacobi")
         assert cls.name == "jacobi"
 
-    def test_legacy_dict_views_match_registries(self):
-        from repro.sim.paradigms import PARADIGMS
-        from repro.workloads import WORKLOADS
-
-        assert WORKLOADS == dict(registry.workloads.items())
-        assert PARADIGMS == dict(registry.paradigms.items())
-
 
 class TestSharedValidationSurface:
     """One resolve() serves the CLI, make_paradigm, topology and chaos."""

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.run import RunSpec, TraceCache
-from repro.trace.tracefile import save_trace
 
 SPEC = RunSpec(workload="jacobi", workload_params={"n": 64}, n_gpus=2,
                iterations=1)
@@ -99,22 +98,6 @@ class TestDiskLayer:
         assert cache.stats() == {"hits": 1, "misses": 1, "corrupt": 0}
         assert len(list(tmp_path.glob("trace-*/header.json"))) == 1
 
-    def test_legacy_npz_entry_still_read(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        trace = cache.get_or_generate(SPEC)
-        key = SPEC.trace_key()
-        # Simulate an entry written by an older version: only the
-        # single-file .npz exists.
-        import shutil
-
-        shutil.rmtree(cache.path_for(key))
-        save_trace(trace, tmp_path / f"trace-{key}.npz")
-
-        reader = TraceCache(tmp_path)
-        loaded = reader.get_or_generate(SPEC)
-        assert reader.stats() == {"hits": 1, "misses": 0, "corrupt": 0}
-        assert loaded.total_remote_bytes() == trace.total_remote_bytes()
-
 
 class TestCorruption:
     def test_corrupted_entry_regenerated_not_fatal(self, tmp_path):
@@ -143,14 +126,6 @@ class TestCorruption:
         reader = TraceCache(tmp_path)
         reader.get_or_generate(SPEC)
         assert reader.stats()["corrupt"] == 1
-
-    def test_corrupted_legacy_npz_regenerated(self, tmp_path):
-        key = SPEC.trace_key()
-        (tmp_path / f"trace-{key}.npz").write_bytes(b"this is not an npz")
-        cache = TraceCache(tmp_path)
-        cache.get_or_generate(SPEC)
-        assert cache.stats() == {"hits": 0, "misses": 1, "corrupt": 1}
-        assert not (tmp_path / f"trace-{key}.npz").exists()
 
 
 class TestEnvDefault:

@@ -7,10 +7,9 @@ import pytest
 from repro.interconnect.link import Link
 from repro.interconnect.message import WireMessage
 from repro.sim.gps import SubscriptionTable
+from repro.run import RunContext, RunSpec, TraceCache
 from repro.sim.paradigms import GPSParadigm, SlicedDMAParadigm, make_paradigm
-from repro.sim.runner import ExperimentConfig, compare_paradigms, run_workload
 from repro.trace.intervals import IntervalSet
-from repro.workloads import ALSWorkload, DiffusionWorkload
 
 BASE = 1 << 34
 PAGE = 4096
@@ -18,6 +17,18 @@ PAGE = 4096
 
 def arr(values):
     return np.asarray(values, dtype=np.int64)
+
+
+def run_all(base: RunSpec, **paradigms) -> dict:
+    """Metrics per label; ``paradigms`` maps a label to ``(name,
+    params)``.  One trace cache, so every run replays the same trace."""
+    cache = TraceCache()
+    return {
+        label: RunContext(
+            base.with_options(paradigm=name, paradigm_params=params), cache
+        ).run()
+        for label, (name, params) in paradigms.items()
+    }
 
 
 class TestSubscriptionTable:
@@ -61,16 +72,24 @@ class TestLearnedGPS:
     def test_learned_trails_oracle_in_epoch0_only(self):
         """Learned subscription broadcasts epoch 0 and converges to the
         oracle's steady state afterwards."""
-        w = ALSWorkload(n_users=2_000, n_items=500, avg_ratings=8)
-        cfg = ExperimentConfig(iterations=4)
-        trace = w.generate_trace(4, 4, cfg.seed)
-        learned = run_workload(w, GPSParadigm(subscription="learned"), cfg, trace=trace)
-        oracle = run_workload(w, GPSParadigm(subscription="oracle"), cfg, trace=trace)
-        assert learned.wire_bytes >= oracle.wire_bytes
+        base = RunSpec(
+            workload="als",
+            workload_params={"n_users": 2_000, "n_items": 500, "avg_ratings": 8},
+            iterations=4,
+        )
+        runs = run_all(
+            base,
+            learned=("gps", {"subscription": "learned"}),
+            oracle=("gps", {"subscription": "oracle"}),
+        )
+        assert runs["learned"].wire_bytes >= runs["oracle"].wire_bytes
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             GPSParadigm(subscription="psychic")
+
+
+DIFFUSION = RunSpec(workload="diffusion", workload_params={"n": 48}, iterations=2)
 
 
 class TestSlicedDMA:
@@ -82,41 +101,27 @@ class TestSlicedDMA:
         win requires the transfer to dominate the per-call software
         overhead -- the paper's point that fine slicing is only worth
         the effort for heavy exchanges.)"""
-        from repro.sim.paradigms import BulkDMAParadigm
-        from repro.workloads import HITWorkload
-
-        w = HITWorkload(n=64)
-        cfg = ExperimentConfig(iterations=2)
-        trace = w.generate_trace(4, 2, cfg.seed)
-        plain = run_workload(
-            w, BulkDMAParadigm(per_call_overhead_ns=500.0), cfg, trace=trace
+        runs = run_all(
+            RunSpec(workload="hit", workload_params={"n": 64}, iterations=2),
+            plain=("dma", {"per_call_overhead_ns": 500.0}),
+            sliced=("dma_sliced", {"slices": 4, "per_call_overhead_ns": 500.0}),
         )
-        sliced = run_workload(
-            w,
-            SlicedDMAParadigm(slices=4, per_call_overhead_ns=500.0),
-            cfg,
-            trace=trace,
-        )
-        assert sliced.total_time_ns < plain.total_time_ns
+        assert runs["sliced"].total_time_ns < runs["plain"].total_time_ns
 
     def test_slicing_overhead_dominates_tiny_exchanges(self):
         """For halo-sized transfers the extra memcpy calls cost more
         than the overlap saves -- why naive programmers don't slice."""
-        w = DiffusionWorkload(n=48)
-        cfg = ExperimentConfig(iterations=2)
-        trace = w.generate_trace(4, 2, cfg.seed)
-        plain = run_workload(w, "dma", cfg, trace=trace)
-        sliced = run_workload(w, SlicedDMAParadigm(slices=8), cfg, trace=trace)
-        assert sliced.total_time_ns > plain.total_time_ns
+        runs = run_all(
+            DIFFUSION, plain=("dma", {}), sliced=("dma_sliced", {"slices": 8})
+        )
+        assert runs["sliced"].total_time_ns > runs["plain"].total_time_ns
 
     def test_same_bytes_delivered(self):
-        w = DiffusionWorkload(n=48)
-        cfg = ExperimentConfig(iterations=2)
-        trace = w.generate_trace(4, 2, cfg.seed)
-        plain = run_workload(w, "dma", cfg, trace=trace)
-        sliced = run_workload(w, SlicedDMAParadigm(slices=4), cfg, trace=trace)
-        assert sliced.bytes.payload == plain.bytes.payload
-        assert sliced.bytes.useful == plain.bytes.useful
+        runs = run_all(
+            DIFFUSION, plain=("dma", {}), sliced=("dma_sliced", {"slices": 4})
+        )
+        assert runs["sliced"].bytes.payload == runs["plain"].bytes.payload
+        assert runs["sliced"].bytes.useful == runs["plain"].bytes.useful
 
     def test_more_calls_more_overhead_bytes_equal(self):
         p = SlicedDMAParadigm(slices=8)
@@ -127,16 +132,12 @@ class TestSlicedDMA:
     def test_still_loses_to_finepack_on_irregular(self):
         """The paper's point stands: even expert-overlapped memcpy
         over-transfers what FinePack never sends."""
-        from repro.workloads import PagerankWorkload
-
-        w = PagerankWorkload(n=24_000)
-        cfg = ExperimentConfig(iterations=2)
-        res = compare_paradigms(w, ("finepack",), cfg)
-        sliced = run_workload(
-            w, SlicedDMAParadigm(), cfg,
-            trace=w.generate_trace(4, 2, cfg.seed),
+        runs = run_all(
+            RunSpec(workload="pagerank", workload_params={"n": 24_000}, iterations=2),
+            finepack=("finepack", {}),
+            sliced=("dma_sliced", {}),
         )
-        assert res.runs["finepack"].wire_bytes < sliced.wire_bytes
+        assert runs["finepack"].wire_bytes < runs["sliced"].wire_bytes
 
 
 class TestLinkErrorInjection:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.gpu.compute import KernelWork
 from repro.interconnect.message import MessageKind
 from repro.interconnect.pcie import PCIE_GEN4, PCIeProtocol
 from repro.sim.paradigms import (
-    PARADIGMS,
     BulkDMAParadigm,
     FinePackParadigm,
     GPSParadigm,
@@ -40,7 +40,7 @@ def proto():
 
 class TestRegistry:
     def test_all_names(self):
-        assert set(PARADIGMS) == {
+        assert set(registry.paradigms.names()) == {
             "p2p", "wc", "gps", "finepack", "dma", "dma_sliced", "infinite",
         }
 

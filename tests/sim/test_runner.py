@@ -1,43 +1,43 @@
-"""Experiment runner tests on a scaled-down workload."""
+"""The paper's paradigm comparison, run through the run layer on a
+scaled-down workload."""
 
 import pytest
 
-from repro.sim.runner import (
-    ComparisonResult,
-    ExperimentConfig,
-    compare_paradigms,
-    geomean,
-    run_workload,
-)
-from repro.workloads import JacobiWorkload
+from repro.analysis import bytes_normalized_to, geomean
+from repro.run import RunContext, RunSpec, SweepRun, labeled_sweep
+
+JACOBI = RunSpec(workload="jacobi", workload_params={"n": 256}, iterations=2)
 
 
 @pytest.fixture(scope="module")
-def comparison() -> ComparisonResult:
-    cfg = ExperimentConfig(iterations=2)
-    return compare_paradigms(
-        JacobiWorkload(n=256), paradigms=("p2p", "dma", "finepack", "infinite"),
-        config=cfg,
+def comparison() -> SweepRun:
+    return labeled_sweep(
+        {p: JACOBI.with_options(paradigm=p)
+         for p in ("p2p", "dma", "finepack", "infinite")}
     )
+
+
+def speedups(sweep: SweepRun) -> dict[str, float]:
+    return {p.label: p.speedup for p in sweep.points}
 
 
 class TestCompareParadigms:
     def test_all_paradigms_present(self, comparison):
-        assert set(comparison.runs) == {"p2p", "dma", "finepack", "infinite"}
+        assert set(comparison.by_label()) == {"p2p", "dma", "finepack", "infinite"}
 
     def test_speedups_positive(self, comparison):
-        assert all(v > 0 for v in comparison.speedups().values())
+        assert all(v > 0 for v in speedups(comparison).values())
 
     def test_infinite_is_upper_bound(self, comparison):
-        sp = comparison.speedups()
+        sp = speedups(comparison)
         assert sp["infinite"] >= max(sp["p2p"], sp["dma"], sp["finepack"]) - 1e-9
 
     def test_bytes_normalized_reference_is_one(self, comparison):
-        norm = comparison.bytes_normalized_to("dma")
+        norm = bytes_normalized_to(comparison, "dma")
         assert norm["dma"]["total"] == pytest.approx(1.0)
 
     def test_bytes_categories_sum(self, comparison):
-        norm = comparison.bytes_normalized_to("dma")
+        norm = bytes_normalized_to(comparison, "dma")
         for row in norm.values():
             assert row["useful"] + row["protocol_overhead"] + row["wasted"] == pytest.approx(
                 row["total"]
@@ -45,26 +45,17 @@ class TestCompareParadigms:
 
     def test_normalize_to_empty_reference_rejected(self, comparison):
         with pytest.raises(ValueError):
-            comparison.bytes_normalized_to("infinite")
+            bytes_normalized_to(comparison, "infinite")
 
 
 class TestRunWorkload:
     def test_explicit_trace_reuse(self):
-        w = JacobiWorkload(n=256)
-        cfg = ExperimentConfig(iterations=2)
-        trace = w.generate_trace(n_gpus=4, iterations=2, seed=cfg.seed)
-        a = run_workload(w, "finepack", config=cfg, trace=trace)
-        b = run_workload(w, "finepack", config=cfg, trace=trace)
+        spec = JACOBI.with_options(paradigm="finepack")
+        trace = RunContext(spec).trace
+        a = RunContext(spec, trace=trace).run()
+        b = RunContext(spec, trace=trace).run()
         assert a.total_time_ns == b.total_time_ns
         assert a.wire_bytes == b.wire_bytes
-
-    def test_paradigm_instance_accepted(self):
-        from repro.sim.paradigms import FinePackParadigm
-
-        m = run_workload(
-            JacobiWorkload(n=256), FinePackParadigm(), config=ExperimentConfig(iterations=1)
-        )
-        assert m.paradigm == "finepack"
 
 
 class TestGeomean:

@@ -22,6 +22,23 @@ class TestList:
             assert paradigm in text
 
 
+    def test_lists_workloads_registered_after_import(self, monkeypatch):
+        """The listing (and argparse's choices) read the registries at
+        call time, not a snapshot taken when the CLI was imported."""
+        from repro import registry
+        from repro.workloads import JacobiWorkload
+
+        class LateJacobi(JacobiWorkload):
+            name = "late_jacobi"
+
+        registry.workloads.names()  # populate before patching the entries
+        monkeypatch.setitem(registry.workloads._entries, "late_jacobi", LateJacobi)
+        assert "late_jacobi" in run_cli("list")
+        text = run_cli("run", "late_jacobi", "finepack", "--gpus", "2",
+                       "--iterations", "1")
+        assert "late_jacobi / finepack" in text
+
+
 class TestRun:
     def test_run_small(self):
         text = run_cli(
@@ -59,12 +76,45 @@ class TestTraceReplay:
         text = run_cli("replay", str(path), "finepack")
         assert "jacobi / finepack" in text
 
+    def test_replay_matches_run_under_error_rate(self, tmp_path):
+        """``replay`` builds its run from the same flags as ``run``: with
+        link errors, a saved trace replays to the metrics ``run`` prints
+        for the same workload."""
+        path = tmp_path / "trace.npz"
+        small = ("--gpus", "2", "--iterations", "2")
+        run_cli("trace", "jacobi", str(path), *small)
+        flags = (*small, "--error-rate", "0.001")
+        replayed = run_cli("replay", str(path), "finepack", *flags)
+        ran = run_cli("run", "jacobi", "finepack", *flags)
+        assert replayed == ran
+        assert replayed != run_cli("replay", str(path), "finepack", *small)
+
+    def test_replay_analytical_fidelity(self, tmp_path):
+        path = tmp_path / "trace.npz"
+        small = ("--gpus", "2", "--iterations", "1")
+        run_cli("trace", "jacobi", str(path), *small)
+        text = run_cli("replay", str(path), "finepack", *small,
+                       "--fidelity", "analytical")
+        assert text == run_cli("run", "jacobi", "finepack", *small,
+                               "--fidelity", "analytical")
+
     def test_replay_respects_subheader_config(self, tmp_path):
         path = tmp_path / "trace.npz"
         run_cli("trace", "pagerank", str(path), "--gpus", "2", "--iterations", "1")
         a = run_cli("replay", str(path), "finepack", "--subheader-bytes", "2")
         b = run_cli("replay", str(path), "finepack", "--subheader-bytes", "5")
         assert a != b
+
+
+class TestValidate:
+    def test_validate_passes(self):
+        text = run_cli("validate", "jacobi", "finepack", "--gpus", "2",
+                       "--iterations", "1", "--subheader-bytes", "3")
+        assert "all checks passed" in text
+
+    def test_validate_rejects_analytical_fidelity(self):
+        with pytest.raises(SystemExit, match="--fidelity des"):
+            run_cli("validate", "jacobi", "finepack", "--fidelity", "analytical")
 
 
 class TestGoodput:

@@ -23,10 +23,12 @@ def test_custom_workload_example_runs_small():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
 
-    from repro.sim.runner import ExperimentConfig, compare_paradigms
+    from repro.run import RunSpec, labeled_sweep
 
-    w = module.HistogramWorkload(n_bins=8_000, total_samples=8_000)
-    result = compare_paradigms(
-        w, paradigms=("p2p", "finepack"), config=ExperimentConfig(iterations=2)
+    base = RunSpec.for_workload(
+        module.HistogramWorkload(n_bins=8_000, total_samples=8_000), iterations=2
     )
-    assert result.runs["finepack"].wire_bytes < result.runs["p2p"].wire_bytes
+    result = labeled_sweep(
+        {p: base.with_options(paradigm=p) for p in ("p2p", "finepack")}
+    ).by_label()
+    assert result["finepack"].metrics.wire_bytes < result["p2p"].metrics.wire_bytes
