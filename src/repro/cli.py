@@ -237,17 +237,23 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
         "it is quarantined (default 2, i.e. up to 3 attempts)",
     )
     p.add_argument(
-        "--no-strict",
-        action="store_true",
-        help="finish the grid even if cells exhaust their retry budget; "
-        "failed cells are reported and omitted from the table",
-    )
-    p.add_argument(
         "--resume",
         action="store_true",
         help="resume an interrupted invocation from its grid journal, "
         "re-running only unfinished or quarantined cells (requires "
         "--trace-cache DIR, where the journal and outcome store live)",
+    )
+
+
+def _add_strict_arg(p: argparse.ArgumentParser) -> None:
+    """``--no-strict``, for the grids that can report a partial table
+    (``compare`` needs every paradigm column, so it always runs strict
+    and rejects the flag)."""
+    p.add_argument(
+        "--no-strict",
+        action="store_true",
+        help="finish the grid even if cells exhaust their retry budget; "
+        "failed cells are reported and omitted from the table",
     )
 
 
@@ -265,7 +271,7 @@ def _resilience_kwargs(args: argparse.Namespace) -> dict:
         raise SystemExit(f"--timeout must be positive, got {args.timeout:g}")
     if args.retries is not None and args.retries < 0:
         raise SystemExit(f"--retries must be >= 0, got {args.retries}")
-    kwargs: dict = {"strict": not args.no_strict}
+    kwargs: dict = {"strict": not getattr(args, "no_strict", False)}
     if args.timeout is not None:
         kwargs["timeout"] = args.timeout
     if args.retries is not None:
@@ -616,13 +622,11 @@ def cmd_compare(args, out) -> int:
     jobs = _check_jobs(args)
     _check_fidelity(args)
     base = _spec(args, args.workload)
-    # Every paradigm column is needed: the comparison always runs strict.
-    resilience = {**_resilience_kwargs(args), "strict": True}
     run = labeled_sweep(
         {p: base.with_options(paradigm=p) for p in args.paradigms},
         jobs=jobs,
         trace_cache=args.trace_cache,
-        **resilience,
+        **_resilience_kwargs(args),
     )
     rows = [
         [
@@ -890,6 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_args(p)
     _add_trace_args(p)
     _add_parallel_args(p)
+    _add_strict_arg(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("compare", help="compare paradigms on one workload")
@@ -967,6 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     _add_trace_args(p)
     _add_parallel_args(p)
+    _add_strict_arg(p)
     p.set_defaults(fn=cmd_chaos)
 
     p = sub.add_parser(

@@ -354,6 +354,10 @@ class _PhaseTemplate:
     messages_out: int
     packets_built: int
     partition_deltas: tuple[tuple[int, _PartitionDelta], ...]
+    #: What the per-op tracer hooks would have reported, as
+    #: :meth:`repro.obs.Tracer.rwq_phase` records; ``None`` when the
+    #: phase was recorded untraced.
+    rwq_records: tuple[tuple, ...] | None = None
 
 
 #: Retained phase templates per engine; enough for every distinct
@@ -524,17 +528,20 @@ class FinePackEgress:
         memoization; collectives and stencil workloads repeat the same
         store stream every iteration).
 
+        With a tracer attached, the phase's remote-write-queue events
+        are emitted in bulk (:meth:`repro.obs.Tracer.rwq_phase`) from
+        records the template keeps, in the order the per-op hooks would
+        have fired them.
+
         Returns ``None`` when this engine cannot guarantee phase-scoped
         purity -- an inactivity-timeout flush policy, a multi-window
-        partition design (its LRU state survives releases), an attached
-        tracer, buffered state left over from a non-release flush, or
-        instance-patched per-op hooks (validation harnesses wrap
-        ``on_store`` to inject faults) -- and the caller must use the
-        scalar per-op path.
+        partition design (its LRU state survives releases), buffered
+        state left over from a non-release flush, or instance-patched
+        per-op hooks (validation harnesses wrap ``on_store`` to inject
+        faults) -- and the caller must use the scalar per-op path.
         """
         if (
-            self.tracer is not None
-            or self.flush_timeout_ns is not None
+            self.flush_timeout_ns is not None
             or self._windows != 1
             or self.queue.pending_entries()
             or {"on_store", "on_atomic", "on_release"} & self.__dict__.keys()
@@ -549,16 +556,24 @@ class FinePackEgress:
         digest.update(np.ascontiguousarray(dsts, dtype=np.int64))
         digest.update(np.ascontiguousarray(is_atomic, dtype=bool))
         key = digest.digest()
+        tracer = self.tracer
         template = self._memo.get(key)
-        if template is None:
+        if template is None or (tracer is not None and template.rwq_records is None):
             msgs, template = self._record_phase(
-                addrs, sizes, dsts, times, is_atomic, release_time
+                addrs, sizes, dsts, times, is_atomic, release_time,
+                traced=tracer is not None,
             )
+            self._memo.pop(key, None)
             if len(self._memo) >= _MEMO_MAX_ENTRIES:
                 self._memo.pop(next(iter(self._memo)))
             self._memo[key] = template
-            return msgs
-        return self._replay_phase(template, times, release_time)
+        else:
+            msgs = self._replay_phase(template, times, release_time)
+        if tracer is not None:
+            tracer.rwq_phase(
+                self.src, template.rwq_records, times.tolist(), release_time
+            )
+        return msgs
 
     def _record_phase(
         self,
@@ -568,6 +583,7 @@ class FinePackEgress:
         times: np.ndarray,
         is_atomic: np.ndarray,
         release_time: float,
+        traced: bool = False,
     ) -> tuple[list[WireMessage], _PhaseTemplate]:
         """Run the phase through the real queue/packetizer, recording
         which op slot stamped each emitted message and the stat deltas.
@@ -576,9 +592,15 @@ class FinePackEgress:
         timeout bookkeeping (``_expire_idle`` is a no-op and
         ``_last_activity`` is cleared by the release, both guaranteed
         by the :meth:`phase_ops` eligibility gate), with the profiler
-        stage hoisted out of the per-op path.
+        stage hoisted out of the per-op path.  ``traced`` also records
+        the tracer hooks' view (see :attr:`_PhaseTemplate.rwq_records`);
+        an untraced recording does no per-store work for it.
         """
         queue = self.queue
+        records: list[tuple] | None = [] if traced else None
+        insert = queue.insert
+        if records is not None:
+            insert = self._recording_insert(records, is_atomic)
         packetizer = self.packetizer
         protocol = self.protocol
         stats = self.stats
@@ -615,6 +637,8 @@ class FinePackEgress:
                     flushed = queue.flush_destination(
                         dst, FlushReason.ATOMIC_CONFLICT
                     )
+                    if records is not None:
+                        self._record_flushes(records, slot, flushed)
                     for flush_dst, window in flushed:
                         packet = packetizer.packetize(window)
                         msgs.append(
@@ -639,7 +663,7 @@ class FinePackEgress:
                 slots.append(slot)
             else:
                 stats.stores_in += 1
-                for flush_dst, window in queue.insert(addr, size, dst):
+                for flush_dst, window in insert(addr, size, dst):
                     packet = packetizer.packetize(window)
                     msgs.append(
                         packetizer.to_wire_message(packet, src, flush_dst, time)
@@ -647,7 +671,10 @@ class FinePackEgress:
                     slots.append(slot)
                     stats.messages_out += 1
         stats.releases += 1
-        for flush_dst, window in queue.flush_all(FlushReason.RELEASE):
+        released = queue.flush_all(FlushReason.RELEASE)
+        if records is not None:
+            self._record_flushes(records, -1, released)
+        for flush_dst, window in released:
             packet = packetizer.packetize(window)
             msgs.append(
                 packetizer.to_wire_message(packet, src, flush_dst, release_time)
@@ -689,8 +716,51 @@ class FinePackEgress:
             messages_out=len(msgs),
             packets_built=packetizer.packets_built - packets_before,
             partition_deltas=tuple(deltas),
+            rwq_records=None if records is None else tuple(records),
         )
         return msgs, template
+
+    def _recording_insert(self, records: list[tuple], is_atomic: np.ndarray):
+        """A drop-in for ``queue.insert`` in :meth:`_record_phase` that
+        also appends what :meth:`on_store`'s tracer hooks report: each
+        forced flush, then the buffered store, all with the partition's
+        entry count after the insert."""
+        insert = self.queue.insert
+        partitions = self.queue.partitions
+        store_slots = iter(np.flatnonzero(~is_atomic).tolist())
+
+        def recording_insert(addr: int, size: int, dst: int):
+            flushed = insert(addr, size, dst)
+            slot = next(store_slots)
+            if flushed:
+                self._record_flushes(records, slot, flushed)
+            records.append(
+                (slot, dst, partitions[dst].entry_count, addr, size, None)
+            )
+            return flushed
+
+        return recording_insert
+
+    def _record_flushes(
+        self,
+        records: list[tuple],
+        slot: int,
+        flushed: list[tuple[int, FlushedWindow]],
+    ) -> None:
+        """Append one tracer record per flushed window (the
+        :meth:`_windows_to_messages` hook's view)."""
+        partitions = self.queue.partitions
+        for dst, window in flushed:
+            records.append(
+                (
+                    slot,
+                    dst,
+                    partitions[dst].entry_count,
+                    sum(e.enabled_bytes() for e in window.entries),
+                    window.stores_absorbed,
+                    window.reason.value,
+                )
+            )
 
     def _replay_phase(
         self,

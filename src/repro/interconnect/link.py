@@ -255,26 +255,26 @@ class Link:
         overhead: np.ndarray,
         stores_packed: np.ndarray,
         kinds: np.ndarray,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`transmit` for the fault-free, uncredited case.
 
         ``ready`` must be in the order the event engine would call
-        :meth:`transmit` (global issue order).  Returns the delivery
-        times.  The busy-time chain is a sequential Python loop over
-        unboxed floats -- the identical additions in the identical
-        order as the scalar path -- so timings are byte-identical, not
-        merely close; only the stats summation and the final
-        propagation add are vectorized (both order-insensitive or
-        elementwise).
+        :meth:`transmit` (global issue order).  Returns the
+        serialization ``(starts, ends)`` per message; delivery is
+        ``ends + propagation_ns``.  The busy-time chain is a sequential
+        Python loop over unboxed floats -- the identical additions in
+        the identical order as the scalar path -- so timings are
+        byte-identical, not merely close; only the stats summation and
+        the start times (each the ``max`` the loop took) are
+        vectorized.
         """
         if (
             self.credits is not None
             or self.fault_state is not None
             or self._rng is not None
-            or self.tracer is not None
         ):
             raise RuntimeError(
-                f"link {self.name} is stateful (credits/faults/replay/tracer); "
+                f"link {self.name} is stateful (credits/faults/replay); "
                 "batch transmission would not be byte-identical"
             )
         durations = wire_bytes / self.bytes_per_ns
@@ -288,6 +288,12 @@ class Link:
             ends[i] = busy
             busy_time += d
             i += 1
+        # Each start is the later of readiness and the previous end.
+        previous = np.empty_like(ends)
+        if previous.size:
+            previous[0] = self.busy_until
+            previous[1:] = ends[:-1]
+        starts = np.maximum(ready, previous)
         self.busy_until = busy
         st = self.stats
         st.busy_time_ns = busy_time
@@ -301,7 +307,7 @@ class Link:
         for j in np.argsort(first_seen, kind="stable").tolist():
             kind = KINDS_BY_CODE[int(codes[j])]
             st.by_kind[kind] = st.by_kind.get(kind, 0) + int(counts[j])
-        return ends + self.propagation_ns
+        return starts, ends
 
     def reset(self) -> None:
         """Clear timing state and counters (between runs).

@@ -14,7 +14,9 @@ Two formats:
 
 Both exports are byte-deterministic for a deterministic run: track ids
 are assigned in first-appearance order and JSON keys are emitted in
-schema order.
+schema order.  :func:`write_chrome_trace` streams: it never builds the
+``traceEvents`` list :func:`chrome_trace_dict` returns, yet writes the
+bytes ``json.dumps(chrome_trace_dict(...))`` would.
 
 :func:`validate_chrome_trace` is a dependency-free structural validator
 used by tests and ``make verify`` to guarantee emitted files actually
@@ -24,7 +26,10 @@ load in trace viewers.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Mapping
+from collections.abc import Sequence
+from itertools import islice
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import IO, Iterable, Iterator, Mapping
 
 from .events import SPAN_KINDS, EventKind, TraceEvent
 from .tracer import Tracer
@@ -49,10 +54,8 @@ def _track_order(events: Iterable[TraceEvent]) -> list[str]:
     return list(seen)
 
 
-def chrome_trace_events(
-    tracer: Tracer, pid: int = 0, process_name: str | None = None
-) -> list[dict]:
-    """Convert one tracer's stream to Chrome ``traceEvents`` dicts."""
+def _process_header(pid: int, process_name: str | None, tids: dict[str, int]) -> list[dict]:
+    """The ``M`` (metadata) events naming a process and its threads."""
     out: list[dict] = []
     if process_name is not None:
         out.append(
@@ -65,7 +68,6 @@ def chrome_trace_events(
                 "args": {"name": process_name},
             }
         )
-    tids = {track: i + 1 for i, track in enumerate(_track_order(tracer.events))}
     for track, tid in tids.items():
         out.append(
             {
@@ -77,6 +79,21 @@ def chrome_trace_events(
                 "args": {"name": track},
             }
         )
+    return out
+
+
+def _phase(kind: EventKind) -> str:
+    if kind is EventKind.COUNTER_SAMPLE:
+        return "C"
+    return "X" if kind in SPAN_KINDS else "i"
+
+
+def chrome_trace_events(
+    tracer: Tracer, pid: int = 0, process_name: str | None = None
+) -> list[dict]:
+    """Convert one tracer's stream to Chrome ``traceEvents`` dicts."""
+    tids = {track: i + 1 for i, track in enumerate(_track_order(tracer.events))}
+    out = _process_header(pid, process_name, tids)
     for e in tracer.events:
         base = {
             "name": e.name,
@@ -85,19 +102,31 @@ def chrome_trace_events(
             "pid": pid,
             "tid": tids[e.track],
         }
-        if e.kind is EventKind.COUNTER_SAMPLE:
-            base["ph"] = "C"
-            base["args"] = dict(e.attrs)
-        elif e.kind in SPAN_KINDS:
-            base["ph"] = "X"
+        ph = _phase(e.kind)
+        base["ph"] = ph
+        if ph == "X":
             base["dur"] = e.dur_ns * _NS_TO_US
-            base["args"] = dict(e.attrs)
-        else:
-            base["ph"] = "i"
+        elif ph == "i":
             base["s"] = "t"
-            base["args"] = dict(e.attrs)
+        base["args"] = dict(e.attrs)
         out.append(base)
     return out
+
+
+def _as_mapping(tracers: Tracer | Mapping[str, Tracer]) -> Mapping[str, Tracer]:
+    return {"run": tracers} if isinstance(tracers, Tracer) else tracers
+
+
+def _metadata(
+    tracers: Mapping[str, Tracer], metadata: Mapping[str, object] | None
+) -> dict:
+    meta: dict[str, object] = {
+        "tool": "repro.obs",
+        "runs": {label: tracer.summary() for label, tracer in tracers.items()},
+    }
+    if metadata:
+        meta.update(metadata)
+    return meta
 
 
 def chrome_trace_dict(
@@ -110,21 +139,82 @@ def chrome_trace_dict(
     (e.g. one per sweep configuration) to merge runs as separate
     processes in one file.
     """
-    if isinstance(tracers, Tracer):
-        tracers = {"run": tracers}
+    tracers = _as_mapping(tracers)
     events: list[dict] = []
-    summaries: dict[str, dict] = {}
     for pid, (label, tracer) in enumerate(tracers.items()):
         events.extend(chrome_trace_events(tracer, pid=pid, process_name=label))
-        summaries[label] = tracer.summary()
-    meta: dict[str, object] = {"tool": "repro.obs", "runs": summaries}
-    if metadata:
-        meta.update(metadata)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ns",
-        "metadata": meta,
+        "metadata": _metadata(tracers, metadata),
     }
+
+
+#: The C encoder with ``json.dumps``' default settings, callable on one
+#: value at a time (``json.dumps`` itself rebuilds it on every call).
+_ENCODER = json.JSONEncoder()
+_encode_value = c_make_encoder(
+    {}, _ENCODER.default, encode_basestring_ascii, None,
+    ": ", ", ", False, False, True,
+)
+
+
+def _number(value: float) -> str:
+    """``json.dumps(value)`` for a float (``repr`` when finite)."""
+    return float.__repr__(value) if value - value == 0.0 else _ENCODER.encode(value)
+
+
+def _encoded_events(tracer: Tracer, pid: int, tids: dict[str, int]) -> Iterator[str]:
+    """Each event's JSON text, as ``json.dumps`` would encode its dict.
+
+    Everything but the timestamps and attributes is fixed per
+    (kind, track, name), so that part is encoded once and cached.
+    """
+    cached: dict[tuple, tuple[str, str, bool]] = {}
+    encode = _encode_value
+    for e in tracer.events:
+        key = (e.kind, e.track, e.name)
+        parts = cached.get(key)
+        if parts is None:
+            ph = _phase(e.kind)
+            head = _ENCODER.encode({"name": e.name, "cat": e.kind.value})
+            mid = f', "pid": {pid}, "tid": {tids[e.track]}, "ph": "{ph}"'
+            if ph == "X":
+                mid += ', "dur": '
+            elif ph == "i":
+                mid += ', "s": "t", "args": '
+            else:
+                mid += ', "args": '
+            parts = cached[key] = (head[:-1] + ', "ts": ', mid, ph == "X")
+        head, mid, span = parts
+        ts = _number(e.time_ns * _NS_TO_US)
+        args = "".join(encode(e.attrs, 0))
+        if span:
+            dur = _number(e.dur_ns * _NS_TO_US)
+            yield f'{head}{ts}{mid}{dur}, "args": {args}}}'
+        else:
+            yield f"{head}{ts}{mid}{args}}}"
+
+
+class _WrittenEvents(Sequence):
+    """The ``traceEvents`` of a streamed export, built only on access."""
+
+    def __init__(self, tracers: Mapping[str, Tracer], count: int) -> None:
+        self._tracers = tracers
+        self._count = count
+        self._events: list[dict] | None = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        if self._events is None:
+            self._events = chrome_trace_dict(self._tracers)["traceEvents"]
+        return self._events[index]
+
+
+#: Events encoded per write; bounds the text held in memory at once.
+_CHUNK_EVENTS = 8192
 
 
 def write_chrome_trace(
@@ -132,14 +222,45 @@ def write_chrome_trace(
     tracers: Tracer | Mapping[str, Tracer],
     metadata: Mapping[str, object] | None = None,
 ) -> dict:
-    """Write a Chrome trace JSON file; returns the exported object."""
-    obj = chrome_trace_dict(tracers, metadata=metadata)
+    """Stream a Chrome trace JSON file.
+
+    The bytes equal ``json.dumps(chrome_trace_dict(tracers, metadata))``
+    but the event dicts are never built: the export is written in
+    chunks of pre-encoded events.  Returns the exported object's
+    ``displayTimeUnit`` and ``metadata``, with ``traceEvents`` as a
+    read-only sequence whose length is the number of events written
+    (its dicts are built only if indexed).
+    """
+    tracers = _as_mapping(tracers)
+    meta = _metadata(tracers, metadata)
+
+    def _dump(f: IO[str]) -> int:
+        f.write('{"traceEvents": [')
+        written = 0
+        for pid, (label, tracer) in enumerate(tracers.items()):
+            tids = {track: i + 1 for i, track in enumerate(_track_order(tracer.events))}
+            header = [_ENCODER.encode(e) for e in _process_header(pid, label, tids)]
+            events = _encoded_events(tracer, pid, tids)
+            chunk = header + list(islice(events, _CHUNK_EVENTS))
+            while chunk:
+                f.write((", " if written else "") + ", ".join(chunk))
+                written += len(chunk)
+                chunk = list(islice(events, _CHUNK_EVENTS))
+        f.write('], "displayTimeUnit": "ns", "metadata": ')
+        f.write(_ENCODER.encode(meta))
+        f.write("}")
+        return written
+
     if hasattr(path_or_file, "write"):
-        json.dump(obj, path_or_file)
+        count = _dump(path_or_file)
     else:
         with open(path_or_file, "w") as f:
-            json.dump(obj, f)
-    return obj
+            count = _dump(f)
+    return {
+        "traceEvents": _WrittenEvents(tracers, count),
+        "displayTimeUnit": "ns",
+        "metadata": meta,
+    }
 
 
 def write_jsonl(path_or_file: str | IO[str], tracer: Tracer) -> None:
@@ -147,7 +268,7 @@ def write_jsonl(path_or_file: str | IO[str], tracer: Tracer) -> None:
 
     def _dump(f: IO[str]) -> None:
         for e in tracer.events:
-            f.write(json.dumps(e.to_jsonable()))
+            f.write("".join(_encode_value(e.to_jsonable(), 0)))
             f.write("\n")
 
     if hasattr(path_or_file, "write"):

@@ -120,7 +120,14 @@ class InvariantChecker:
         self._recent.append(event)
         self.events_checked += 1
         kind = event.kind
-        if kind is EventKind.MSG_INJECTED:
+        # Remote-write-queue events dominate a FinePack stream: test
+        # them first.
+        if kind is EventKind.RWQ_ENQUEUE or kind is EventKind.RWQ_FLUSH:
+            pending = event.attrs["pending_entries"]
+            if pending < 0:
+                self._fail(f"negative RWQ occupancy on {event.track}", event)
+            self._rwq_pending[event.track] = pending
+        elif kind is EventKind.MSG_INJECTED:
             mid = event.attrs["msg_id"]
             if mid in self._inflight:
                 self._fail(f"message {mid} injected twice", event)
@@ -198,11 +205,6 @@ class InvariantChecker:
                     f"negative flow-control occupancy {credit} B on {event.track}",
                     event,
                 )
-        elif kind in (EventKind.RWQ_ENQUEUE, EventKind.RWQ_FLUSH):
-            pending = event.attrs["pending_entries"]
-            if pending < 0:
-                self._fail(f"negative RWQ occupancy on {event.track}", event)
-            self._rwq_pending[event.track] = pending
         elif kind is EventKind.BARRIER:
             self.barriers_checked += 1
             self._check_conservation(event, at_barrier=True)

@@ -22,7 +22,7 @@ schema-stable across the codebase.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .counters import CounterRegistry
 from .events import EventKind, TraceEvent
@@ -81,38 +81,33 @@ class Tracer:
         time_ns: float,
         track: str,
         name: str,
-        dur_ns: float = 0.0,
-        attrs: dict | None = None,
-    ) -> TraceEvent:
-        event = TraceEvent(
-            kind=kind,
-            time_ns=time_ns,
-            track=track,
-            name=name,
-            dur_ns=dur_ns,
-            attrs=attrs or {},
-        )
+        dur_ns: float,
+        attrs: dict,
+    ) -> None:
+        # Positional construction and an inlined cadence check: this
+        # runs once per event, hundreds of thousands of times per run.
+        event = TraceEvent(kind, time_ns, track, name, dur_ns, attrs)
         self.events.append(event)
         for fn in self._subscribers:
             fn(event)
-        self._maybe_sample(max(time_ns, time_ns + dur_ns))
-        return event
+        end = time_ns + dur_ns if dur_ns > 0 else time_ns
+        if end > self._max_time_ns:
+            self._max_time_ns = end
+        if self._next_sample is not None and self._max_time_ns >= self._next_sample:
+            self._sample()
 
-    def _maybe_sample(self, time_ns: float) -> None:
-        if time_ns > self._max_time_ns:
-            self._max_time_ns = time_ns
-        if self._next_sample is None or self._max_time_ns < self._next_sample:
-            return
+    def _sample(self) -> None:
         snap = self.counters.snapshot()
         # One sample per crossed cadence boundary would replay identical
         # values on big time jumps; a single sample at the crossing is
         # enough for a piecewise-constant counter track.
         event = TraceEvent(
-            kind=EventKind.COUNTER_SAMPLE,
-            time_ns=self._next_sample,
-            track="counters",
-            name="counters",
-            attrs=snap,
+            EventKind.COUNTER_SAMPLE,
+            self._next_sample,
+            "counters",
+            "counters",
+            0.0,
+            snap,
         )
         self.events.append(event)
         for fn in self._subscribers:
@@ -122,44 +117,27 @@ class Tracer:
         self._next_sample = periods * self._sample_every
 
     # -- message lifecycle ------------------------------------------
+    #
+    # Each public hook takes a WireMessage; the private ``_msg_*``
+    # helpers take its fields, so the batch transport's column replay
+    # (:meth:`transport_batch`) emits exactly the same events.
 
     def message_injected(self, msg: "WireMessage", time_ns: float) -> int:
         """Record a message entering the interconnect; returns its id."""
-        mid = self._msg_seq
-        self._msg_seq += 1
-        c = self.counters
-        c.counter("messages_injected").inc()
-        c.counter("payload_bytes_injected").inc(msg.payload_bytes)
-        c.counter("wire_bytes_injected").inc(msg.wire_bytes)
-        c.gauge("payload_bytes_in_flight").add(msg.payload_bytes)
-        c.histogram("packet_wire_bytes").observe(msg.wire_bytes)
-        c.histogram("stores_per_packet").observe(msg.stores_packed)
-        self._emit(
-            EventKind.MSG_INJECTED,
-            time_ns,
-            f"flow gpu{msg.src}->gpu{msg.dst}",
+        return self._msg_injected(
+            msg.src,
+            msg.dst,
             msg.kind.value,
-            attrs={
-                "msg_id": mid,
-                "src": msg.src,
-                "dst": msg.dst,
-                "payload_bytes": msg.payload_bytes,
-                "overhead_bytes": msg.overhead_bytes,
-                "stores_packed": msg.stores_packed,
-            },
+            msg.payload_bytes,
+            msg.overhead_bytes,
+            msg.stores_packed,
+            time_ns,
         )
-        return mid
 
     def message_delivered(self, msg_id: int, msg: "WireMessage", time_ns: float) -> None:
-        c = self.counters
-        c.counter("payload_bytes_delivered").inc(msg.payload_bytes)
-        c.gauge("payload_bytes_in_flight").add(-msg.payload_bytes)
-        self._emit(
-            EventKind.MSG_DELIVERED,
-            time_ns,
-            f"flow gpu{msg.src}->gpu{msg.dst}",
-            msg.kind.value,
-            attrs={"msg_id": msg_id, "payload_bytes": msg.payload_bytes},
+        self._msg_delivered(
+            msg_id, f"flow gpu{msg.src}->gpu{msg.dst}", msg.kind.value,
+            msg.payload_bytes, time_ns,
         )
 
     def message_drained(self, msg_id: int, msg: "WireMessage", time_ns: float) -> None:
@@ -168,7 +146,8 @@ class Tracer:
             time_ns,
             f"flow gpu{msg.src}->gpu{msg.dst}",
             msg.kind.value,
-            attrs={"msg_id": msg_id},
+            0.0,
+            {"msg_id": msg_id},
         )
 
     def message_dropped(self, msg_id: int, msg: "WireMessage", time_ns: float) -> None:
@@ -179,7 +158,60 @@ class Tracer:
             time_ns,
             f"flow gpu{msg.src}->gpu{msg.dst}",
             msg.kind.value,
-            attrs={"msg_id": msg_id, "payload_bytes": msg.payload_bytes},
+            0.0,
+            {"msg_id": msg_id, "payload_bytes": msg.payload_bytes},
+        )
+
+    def _msg_injected(
+        self,
+        src: int,
+        dst: int,
+        kind: str,
+        payload: int,
+        overhead: int,
+        stores: int,
+        time_ns: float,
+    ) -> int:
+        mid = self._msg_seq
+        self._msg_seq += 1
+        wire = payload + overhead
+        c = self.counters
+        c.counter("messages_injected").inc()
+        c.counter("payload_bytes_injected").inc(payload)
+        c.counter("wire_bytes_injected").inc(wire)
+        c.gauge("payload_bytes_in_flight").add(payload)
+        c.histogram("packet_wire_bytes").observe(wire)
+        c.histogram("stores_per_packet").observe(stores)
+        self._emit(
+            EventKind.MSG_INJECTED,
+            time_ns,
+            f"flow gpu{src}->gpu{dst}",
+            kind,
+            0.0,
+            {
+                "msg_id": mid,
+                "src": src,
+                "dst": dst,
+                "payload_bytes": payload,
+                "overhead_bytes": overhead,
+                "stores_packed": stores,
+            },
+        )
+        return mid
+
+    def _msg_delivered(
+        self, msg_id: int, flow: str, kind: str, payload: int, time_ns: float
+    ) -> None:
+        c = self.counters
+        c.counter("payload_bytes_delivered").inc(payload)
+        c.gauge("payload_bytes_in_flight").add(-payload)
+        self._emit(
+            EventKind.MSG_DELIVERED,
+            time_ns,
+            flow,
+            kind,
+            0.0,
+            {"msg_id": msg_id, "payload_bytes": payload},
         )
 
     # -- interconnect -----------------------------------------------
@@ -193,7 +225,6 @@ class Tracer:
         credit_bytes: int | None = None,
     ) -> None:
         """Record one serialization occupancy of one link direction."""
-        self.counters.counter(f"link_wire_bytes:{link_name}").inc(msg.wire_bytes)
         attrs: dict = {
             "wire_bytes": msg.wire_bytes,
             "src": msg.src,
@@ -201,14 +232,54 @@ class Tracer:
         }
         if credit_bytes is not None:
             attrs["credit_bytes"] = credit_bytes
+        self._link_tx(link_name, msg.kind.value, start_ns, end_ns, attrs)
+
+    def _link_tx(
+        self, link_name: str, kind: str, start_ns: float, end_ns: float, attrs: dict
+    ) -> None:
+        self.counters.counter(f"link_wire_bytes:{link_name}").inc(attrs["wire_bytes"])
         self._emit(
-            EventKind.LINK_TX,
-            start_ns,
-            link_name,
-            msg.kind.value,
-            dur_ns=end_ns - start_ns,
-            attrs=attrs,
+            EventKind.LINK_TX, start_ns, link_name, kind, end_ns - start_ns, attrs
         )
+
+    def transport_batch(self, messages: Iterable[tuple]) -> None:
+        """Emit the events of an already-computed batch transport.
+
+        ``messages`` holds one ``(src, dst, kind, payload_bytes,
+        overhead_bytes, stores_packed, issue_ns, links, hop_starts,
+        hop_ends, delivered_ns, drained_ns)`` tuple per message, in
+        global issue order (the order the event engine would have
+        injected them): ``links`` names the links the message crossed
+        and ``hop_starts[h]``/``hop_ends[h]`` its serialization on hop
+        ``h``.  The calls -- engine-time check, injection, one link
+        span per hop, delivery, drain -- replay the event-driven
+        engine's per-message sequence, so the stream, counters and
+        cadence samples are identical to a scalar run's.
+        """
+        checker = self.checker
+        for (
+            src, dst, kind, payload, overhead, stores, issue_ns,
+            links, starts, ends, delivered_ns, drained_ns,
+        ) in messages:
+            if checker is not None:
+                checker.engine_time(issue_ns)
+            mid = self._msg_injected(
+                src, dst, kind, payload, overhead, stores, issue_ns
+            )
+            wire = payload + overhead
+            for link_name, start_ns, end_ns in zip(links, starts, ends):
+                self._link_tx(
+                    link_name,
+                    kind,
+                    start_ns,
+                    end_ns,
+                    {"wire_bytes": wire, "src": src, "dst": dst},
+                )
+            flow = f"flow gpu{src}->gpu{dst}"
+            self._msg_delivered(mid, flow, kind, payload, delivered_ns)
+            self._emit(
+                EventKind.MSG_DRAINED, drained_ns, flow, kind, 0.0, {"msg_id": mid}
+            )
 
     # -- faults ------------------------------------------------------
 
@@ -245,7 +316,8 @@ class Tracer:
             0.0,
             "faults",
             f"{fault_kind}:{link_pattern}",
-            attrs=attrs,
+            0.0,
+            attrs,
         )
 
     def link_state_change(
@@ -265,7 +337,8 @@ class Tracer:
             time_ns,
             link_name,
             state,
-            attrs=attrs,
+            0.0,
+            attrs,
         )
 
     # -- remote write queue -----------------------------------------
@@ -279,19 +352,8 @@ class Tracer:
         time_ns: float,
         pending_entries: int,
     ) -> None:
-        track = f"rwq gpu{gpu}->gpu{dst}"
-        self._rwq_track(track, pending_entries)
-        self.counters.counter("rwq_stores_enqueued").inc()
-        self._emit(
-            EventKind.RWQ_ENQUEUE,
-            time_ns,
-            track,
-            "store",
-            attrs={
-                "addr": addr,
-                "size": size,
-                "pending_entries": pending_entries,
-            },
+        self.rwq_phase(
+            gpu, ((0, dst, pending_entries, addr, size, None),), (time_ns,), time_ns
         )
 
     def rwq_flush(
@@ -303,28 +365,80 @@ class Tracer:
         time_ns: float,
         pending_entries: int,
     ) -> None:
-        track = f"rwq gpu{gpu}->gpu{dst}"
-        self._rwq_track(track, pending_entries)
-        reason = window.reason.value
-        self.counters.counter(f"rwq_flushes:{reason}").inc()
-        self.counters.histogram("rwq_flush_data_bytes").observe(data_bytes)
-        self._emit(
-            EventKind.RWQ_FLUSH,
-            time_ns,
-            track,
-            f"flush:{reason}",
-            attrs={
-                "reason": reason,
-                "data_bytes": data_bytes,
-                "stores_absorbed": window.stores_absorbed,
-                "pending_entries": pending_entries,
-            },
+        record = (
+            0,
+            dst,
+            pending_entries,
+            data_bytes,
+            window.stores_absorbed,
+            window.reason.value,
         )
+        self.rwq_phase(gpu, (record,), (time_ns,), time_ns)
 
-    def _rwq_track(self, track: str, pending_entries: int) -> None:
-        old = self._rwq_pending.get(track, 0)
-        self._rwq_pending[track] = pending_entries
-        self.counters.gauge("rwq_pending_entries").add(pending_entries - old)
+    def rwq_phase(
+        self,
+        gpu: int,
+        records: tuple[tuple, ...],
+        stamps: Sequence[float],
+        release_time: float,
+    ) -> None:
+        """Emit one recorded FinePack phase's remote-write-queue events.
+
+        ``records`` come from the egress engine's columnar phase path,
+        in the order the per-op hooks would have fired:
+        ``(slot, dst, pending_entries, addr, size, None)`` for a
+        buffered store and ``(slot, dst, pending_entries, data_bytes,
+        stores_absorbed, reason)`` for a flushed window.  ``slot``
+        indexes ``stamps`` (the phase's op issue times); ``-1`` marks
+        the end-of-phase release at ``release_time``.  The result is
+        the exact sequence of :meth:`rwq_enqueue`/:meth:`rwq_flush`
+        calls -- events, counter updates and cadence samples alike.
+        """
+        tracks: dict[int, str] = {}
+        last_pending = self._rwq_pending
+        counters = self.counters
+        emit = self._emit
+        # Fetched on first use, when the registry would create them;
+        # buffered stores are the per-store hot path, so their counters
+        # are updated in place.
+        pending_gauge = enqueued = None
+        for slot, dst, pending, a, b, reason in records:
+            track = tracks.get(dst)
+            if track is None:
+                track = tracks[dst] = f"rwq gpu{gpu}->gpu{dst}"
+            time_ns = release_time if slot < 0 else stamps[slot]
+            if pending_gauge is None:
+                pending_gauge = counters.gauge("rwq_pending_entries")
+            pending_gauge.value += pending - last_pending.get(track, 0)
+            last_pending[track] = pending
+            if reason is None:
+                if enqueued is None:
+                    enqueued = counters.counter("rwq_stores_enqueued")
+                enqueued.value += 1.0
+                emit(
+                    EventKind.RWQ_ENQUEUE,
+                    time_ns,
+                    track,
+                    "store",
+                    0.0,
+                    {"addr": a, "size": b, "pending_entries": pending},
+                )
+                continue
+            counters.counter(f"rwq_flushes:{reason}").inc()
+            counters.histogram("rwq_flush_data_bytes").observe(a)
+            emit(
+                EventKind.RWQ_FLUSH,
+                time_ns,
+                track,
+                f"flush:{reason}",
+                0.0,
+                {
+                    "reason": reason,
+                    "data_bytes": a,
+                    "stores_absorbed": b,
+                    "pending_entries": pending,
+                },
+            )
 
     # -- execution structure ----------------------------------------
 
@@ -334,8 +448,8 @@ class Tracer:
             start_ns,
             f"gpu{gpu}",
             f"kernel it{iteration}",
-            dur_ns=end_ns - start_ns,
-            attrs={"gpu": gpu, "iteration": iteration},
+            end_ns - start_ns,
+            {"gpu": gpu, "iteration": iteration},
         )
 
     def fence_release(self, gpu: int, time_ns: float) -> None:
@@ -344,7 +458,8 @@ class Tracer:
             time_ns,
             f"gpu{gpu}",
             "release",
-            attrs={"gpu": gpu},
+            0.0,
+            {"gpu": gpu},
         )
 
     def barrier(self, iteration: int, start_ns: float, end_ns: float) -> None:
@@ -353,8 +468,8 @@ class Tracer:
             start_ns,
             "system",
             f"barrier it{iteration}",
-            dur_ns=end_ns - start_ns,
-            attrs={"iteration": iteration},
+            end_ns - start_ns,
+            {"iteration": iteration},
         )
 
     def iteration(self, index: int, start_ns: float, end_ns: float) -> None:
@@ -363,8 +478,8 @@ class Tracer:
             start_ns,
             "system",
             f"iteration {index}",
-            dur_ns=end_ns - start_ns,
-            attrs={"index": index},
+            end_ns - start_ns,
+            {"index": index},
         )
 
     # -- grid executor ------------------------------------------------
@@ -389,7 +504,8 @@ class Tracer:
             time_ns,
             "grid",
             f"retry cell {index}",
-            attrs={
+            0.0,
+            {
                 "index": index,
                 "key": key,
                 "attempt": attempt,
@@ -414,7 +530,8 @@ class Tracer:
             time_ns,
             "grid",
             f"quarantine cell {index}",
-            attrs={
+            0.0,
+            {
                 "index": index,
                 "key": key,
                 "attempts": attempts,
@@ -431,7 +548,8 @@ class Tracer:
             time_ns,
             "grid",
             f"outcome {result}",
-            attrs={"result": result, "key": key},
+            0.0,
+            {"result": result, "key": key},
         )
 
     # -- engine hook -------------------------------------------------
@@ -450,7 +568,7 @@ class Tracer:
         self._finished = True
         if self._next_sample is not None and self.events:
             self._next_sample = self._max_time_ns
-            self._maybe_sample(self._max_time_ns)
+            self._sample()
         if self.checker is not None:
             self.checker.finish()
 

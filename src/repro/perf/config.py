@@ -51,9 +51,10 @@ class PerfConfig:
         chains, visited in topological route order with traffic merged
         in global issue order, instead of one discrete event per
         message.  Falls back to the event-driven path whenever a run
-        uses tracing, fault injection, flow-control credits, link
-        error rates, or (only) a topology whose route adjacency is
-        cyclic (see ``repro.perf.transport``).
+        uses fault injection, flow-control credits, link error rates,
+        or (only) a topology whose route adjacency is cyclic (see
+        ``repro.perf.transport``); a tracer replays the per-message
+        events from the batch's time columns instead.
     batch_events:
         The discrete-event engine drains same-timestamp event runs in
         an inlined loop without per-event dispatch overhead.

@@ -38,11 +38,13 @@ adjacency graph genuinely contains a cycle.
 
 Equally, anything that makes per-message transmission stateful beyond
 the busy-time chain -- flow-control credits, armed fault schedules,
-error-rate replay RNGs, tracers -- disqualifies the batch path; see
-:func:`links_eligible`.  The float arithmetic inside the batch is
-element-for-element the scalar arithmetic (the per-link busy chain
-stays a sequential loop), so results are byte-identical, not just
-close.
+error-rate replay RNGs -- disqualifies the batch path; see
+:func:`links_eligible`.  A tracer does not: :func:`transmit_flat`
+returns every message's per-hop serialization times, from which the
+tracer replays the event-driven engine's per-message events.  The
+float arithmetic inside the batch is element-for-element the scalar
+arithmetic (the per-link busy chain stays a sequential loop), so
+results are byte-identical, not just close.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ def links_eligible(topology) -> bool:
         if (
             link.credits is not None
             or link.fault_state is not None
-            or link.tracer is not None
             or link._rng is not None
         ):
             return False
@@ -160,9 +161,13 @@ def transmit_flat(
     overhead: np.ndarray,
     packed: np.ndarray,
     kinds: np.ndarray,
-) -> np.ndarray:
-    """Serialize pre-sorted messages through the fabric; returns
-    delivery times aligned with the inputs.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Serialize pre-sorted messages through the fabric.
+
+    Returns ``(deliveries, hop_start, hop_end)`` aligned with the
+    inputs: the delivery time at the destination, and ``(n, max_hops)``
+    arrays of each message's serialization start/end on hop ``h`` of
+    its route (columns past a route's length are unset).
 
     All arrays must already be in global issue order (stable-sorted by
     issue time) -- the order the scalar engine would process them.
@@ -172,8 +177,11 @@ def transmit_flat(
     engine's per-link call sequence exactly.
     """
     ready = np.array(issue, dtype=np.float64, copy=True)
+    max_hops = max((len(r) for r in plan.routes.values()), default=0)
+    hop_start = np.empty((ready.size, max_hops), dtype=np.float64)
+    hop_end = np.empty((ready.size, max_hops), dtype=np.float64)
     if ready.size == 0:
-        return ready
+        return ready, hop_start, hop_end
     if bool((src == dst).any()):
         # Match Topology.route's contract for self-traffic.
         raise ValueError("local traffic must not enter the interconnect")
@@ -199,12 +207,18 @@ def transmit_flat(
             if hop > 0:
                 ready[idx] += forwarding
         if len(parts) == 1:
-            idx = parts[0][0]
+            idx, hops = parts[0]
         else:
             # Merged ascending indices == global issue order, which is
             # the order the scalar engine calls this link in.
-            idx = np.sort(np.concatenate([p[0] for p in parts]))
-        ready[idx] = topology.links[edge].transmit_batch(
+            merged = np.concatenate([p[0] for p in parts])
+            order = np.argsort(merged, kind="stable")
+            idx = merged[order]
+            hops = np.concatenate(
+                [np.full(p[0].size, p[1]) for p in parts]
+            )[order]
+        link = topology.links[edge]
+        starts, ends = link.transmit_batch(
             ready[idx],
             wire[idx],
             payload[idx],
@@ -212,7 +226,10 @@ def transmit_flat(
             packed[idx],
             kinds[idx],
         )
-    return ready
+        hop_start[idx, hops] = starts
+        hop_end[idx, hops] = ends
+        ready[idx] = ends + link.propagation_ns
+    return ready, hop_start, hop_end
 
 
 def drain_and_record(
@@ -226,34 +243,28 @@ def drain_and_record(
     depacketizers: list,
     drain_rates: np.ndarray,
     packets,
-) -> float:
+) -> np.ndarray:
     """Ingress-drain every delivered message and fold packet stats.
 
     Arrays are in global issue order; ``order`` maps each position back
     to its original (pre-sort) flat index so FinePack messages can look
-    up their packet object in ``obj_refs``.  Returns the latest drain
-    completion time (``-inf`` when there are no messages).  Mirrors the
-    scalar ``inject`` path: FinePack packets pass the destination
-    de-packetizer's bounded buffer in issue order; everything else
-    drains at the destination HBM rate; ``packets.record`` side effects
-    are reproduced in the same order.
+    up their packet object in ``obj_refs``.  Returns each message's
+    drain completion time.  Mirrors the scalar ``inject`` path:
+    FinePack packets pass the destination de-packetizer's bounded
+    buffer in issue order; everything else drains at the destination
+    HBM rate; ``packets.record`` side effects are reproduced in the
+    same order.
     """
     n = deliveries.size
     if n == 0:
-        return float("-inf")
-    latest = float("-inf")
+        return np.empty(0, dtype=np.float64)
     finepack = kinds == FINEPACK_CODE
-    nonfp = np.flatnonzero(~finepack)
-    if nonfp.size:
-        drained = deliveries[nonfp] + payload[nonfp] / drain_rates[dst[nonfp]]
-        latest = float(drained.max())
+    drained = deliveries + payload / drain_rates[dst]
     for pos in np.flatnonzero(finepack).tolist():
         msg = obj_refs[int(order[pos])]
-        done = depacketizers[int(dst[pos])].admit(
+        drained[pos] = depacketizers[int(dst[pos])].admit(
             msg.meta["packet"], float(deliveries[pos])
         )
-        if done > latest:
-            latest = float(done)
     # PacketStats.record equivalents, preserving issue order where the
     # scalar structures are order-sensitive (by_kind first-seen order,
     # packed_counts sequence).
@@ -268,4 +279,4 @@ def drain_and_record(
     packs = packed[_PACKED_KIND_LUT[kinds]]
     if packs.size:
         packets.packed_counts.extend(packs.tolist())
-    return latest
+    return drained

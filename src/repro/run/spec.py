@@ -24,7 +24,9 @@ across sweep cells.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping
@@ -80,8 +82,10 @@ class RunSpec:
     ----------
     workload, workload_params:
         Registry name (:data:`repro.registry.workloads`) plus the
-        constructor kwargs; together with ``n_gpus``/``iterations``/
-        ``seed`` they address the workload trace.
+        constructor kwargs that differ from the constructor's defaults
+        (defaults are dropped, so every spelling of one workload has
+        one key); together with ``n_gpus``/``iterations``/``seed``
+        they address the workload trace.
     paradigm, paradigm_params:
         Registry name (:data:`repro.registry.paradigms`) plus
         constructor kwargs.  The ``finepack`` paradigm implicitly
@@ -144,7 +148,11 @@ class RunSpec:
             raise ValueError(f"intensity must be >= 0: {self.intensity}")
         # Deep-freeze: normalize loose mappings, reject mutable
         # stand-ins for the frozen sub-configs.
-        object.__setattr__(self, "workload_params", freeze_params(self.workload_params))
+        object.__setattr__(
+            self,
+            "workload_params",
+            _without_defaults(self.workload, freeze_params(self.workload_params)),
+        )
         object.__setattr__(self, "paradigm_params", freeze_params(self.paradigm_params))
         object.__setattr__(self, "topology_params", freeze_params(self.topology_params))
         _require(self.generation, PCIeGeneration, "generation")
@@ -270,6 +278,41 @@ class RunSpec:
         from ..faults.schedule import FaultSchedule
 
         return FaultSchedule.from_json(self.scenario).scaled(self.intensity)
+
+
+@functools.cache
+def _constructor_defaults(cls: type) -> dict[str, Any]:
+    return {
+        p.name: p.default
+        for p in inspect.signature(cls.__init__).parameters.values()
+        if p.default is not inspect.Parameter.empty
+    }
+
+
+def _without_defaults(workload: str, params: Params) -> Params:
+    """Drop the parameters a registered workload's constructor would
+    default to anyway, so every spelling of one workload -- a bare name,
+    a default-constructed instance, explicit defaults -- has one key and
+    shares one trace-cache and outcome-store entry.  A value counts as
+    the default only with the default's exact type (``1`` is not
+    ``1.0``)."""
+    if not params:
+        return params
+    from .. import registry
+
+    cls = registry.workloads.get(workload)
+    if cls is None:  # unregistered: the run reports it at build time
+        return params
+    defaults = _constructor_defaults(cls)
+    return tuple(
+        (name, value)
+        for name, value in params
+        if not (
+            name in defaults
+            and type(value) is type(defaults[name])
+            and value == defaults[name]
+        )
+    )
 
 
 def _workload_identity(workload) -> tuple[str, Params]:

@@ -34,7 +34,7 @@ from ..faults.errors import DegradedRunError
 from ..faults.state import RouteBlockedError
 from ..gpu.compute import ComputeModel
 from ..gpu.gpu import GPU
-from ..interconnect.message import MessageKind, WireMessage
+from ..interconnect.message import KINDS_BY_CODE, MessageKind, WireMessage
 from ..interconnect.pcie import PCIE_GEN4, PCIeGeneration, PCIeProtocol
 from ..interconnect.topology import Topology
 from ..perf import profiler as _prof
@@ -162,19 +162,20 @@ class MultiGPUSystem:
 
         prof = _prof.ACTIVE
         # Batch-transport eligibility, decided once per run: the
-        # event-driven path stays authoritative whenever anything needs
-        # per-message hooks or stateful links (tracers, armed faults,
-        # flow-control credits, replay RNGs).  Topology-wise the plan
-        # only requires an acyclic route adjacency (true for every
-        # tree/mesh factory, including multi-level fat trees): links
-        # are processed in topological order with per-link traffic
-        # merged in global issue order, reproducing the scalar call
-        # sequence exactly (see repro.perf.transport).
+        # event-driven path stays authoritative whenever links are
+        # stateful (armed faults, flow-control credits, replay RNGs).
+        # A tracer is no reason to leave it: the batch branch replays
+        # the per-message tracer calls from the transport's time
+        # columns.  Topology-wise the plan only requires an acyclic
+        # route adjacency (true for every tree/mesh factory, including
+        # multi-level fat trees): links are processed in topological
+        # order with per-link traffic merged in global issue order,
+        # reproducing the scalar call sequence exactly (see
+        # repro.perf.transport).
         plan = None
         if (
             get_perf_config().vector_transport
             and self.topology is not None
-            and tracer is None
             and self.fault_injector is None
             and links_eligible(self.topology)
         ):
@@ -224,13 +225,17 @@ class MultiGPUSystem:
                     depacketizers,
                     metrics,
                     prof,
+                    tracer,
                 )
                 iteration_end = (
                     max(max(compute_end.values()), t, latest) + self.barrier_ns
                 )
                 metrics.compute_time_ns += max(compute_end.values()) - t
-                # No tracer and no faults on this path (preconditions of
-                # the batch plan), so the scalar epilogue reduces to:
+                # No faults on this path (a precondition of the batch
+                # plan), so the scalar epilogue reduces to:
+                if tracer is not None:
+                    tracer.barrier(k, iteration_end - self.barrier_ns, iteration_end)
+                    tracer.iteration(k, t, iteration_end)
                 metrics.iteration_times_ns.append(iteration_end - t)
                 t = iteration_end
                 continue
@@ -389,13 +394,16 @@ class MultiGPUSystem:
         depacketizers: list[Depacketizer],
         metrics: RunMetrics,
         prof,
+        tracer,
     ) -> float:
         """One iteration through the batch transport; returns the
         latest drain completion (``-inf`` with no traffic).
 
         Byte-identical to the event-driven path: op streams, issue
         times, per-link call order, stats mutation order and every
-        float operation match (see :mod:`repro.perf.transport`).
+        float operation match (see :mod:`repro.perf.transport`).  With
+        a tracer, the message lifecycle and link events are replayed
+        after the transport in the engine's per-message order.
         """
         if prof is not None:
             prof.begin("egress")
@@ -472,7 +480,7 @@ class MultiGPUSystem:
             packed = np.concatenate(packed_p)[order]
             if prof is not None:
                 prof.begin("link_serialization")
-            deliveries = transmit_flat(
+            deliveries, hop_start, hop_end = transmit_flat(
                 self.topology,
                 plan,
                 src,
@@ -487,7 +495,7 @@ class MultiGPUSystem:
             if prof is not None:
                 prof.end()
                 prof.begin("ingress_drain")
-            latest = drain_and_record(
+            drained = drain_and_record(
                 deliveries,
                 dst,
                 payload,
@@ -499,8 +507,14 @@ class MultiGPUSystem:
                 drain_rates,
                 metrics.packets,
             )
+            latest = float(drained.max())
             if prof is not None:
                 prof.end()
+            if tracer is not None:
+                self._trace_transport(
+                    tracer, plan, src, dst, payload, overhead, packed, kinds,
+                    issue, hop_start, hop_end, deliveries, drained,
+                )
 
         if prof is not None:
             prof.begin("metrics_classify")
@@ -563,6 +577,48 @@ class MultiGPUSystem:
         if prof is not None:
             prof.end()
         return latest
+
+    def _trace_transport(
+        self,
+        tracer,
+        plan,
+        src: np.ndarray,
+        dst: np.ndarray,
+        payload: np.ndarray,
+        overhead: np.ndarray,
+        packed: np.ndarray,
+        kinds: np.ndarray,
+        issue: np.ndarray,
+        hop_start: np.ndarray,
+        hop_end: np.ndarray,
+        deliveries: np.ndarray,
+        drained: np.ndarray,
+    ) -> None:
+        """Feed one batched iteration's transport to the tracer (all
+        arrays in global issue order)."""
+        links = self.topology.links
+        route_names = {
+            pair: tuple(links[edge].name for edge in edges)
+            for pair, edges in plan.routes.items()
+        }
+        src_l = src.tolist()
+        dst_l = dst.tolist()
+        tracer.transport_batch(
+            zip(
+                src_l,
+                dst_l,
+                [KINDS_BY_CODE[code].value for code in kinds.tolist()],
+                payload.tolist(),
+                overhead.tolist(),
+                packed.tolist(),
+                issue.tolist(),
+                [route_names[pair] for pair in zip(src_l, dst_l)],
+                hop_start.tolist(),
+                hop_end.tolist(),
+                deliveries.tolist(),
+                drained.tolist(),
+            )
+        )
 
     def _collect_fabric_stats(self, metrics: RunMetrics, total_ns: float) -> None:
         """Fold per-link counters into the run's fault/link accounting."""

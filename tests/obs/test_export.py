@@ -1,5 +1,6 @@
 """Exporter tests: Chrome trace validity, JSONL round-trip, determinism."""
 
+import hashlib
 import io
 import json
 
@@ -37,10 +38,41 @@ def tracer():
 class TestChromeTrace:
     def test_valid_and_loads(self, tracer, tmp_path):
         path = tmp_path / "trace.json"
-        obj = write_chrome_trace(str(path), tracer)
+        write_chrome_trace(str(path), tracer)
+        obj = chrome_trace_dict(tracer)
         validate_chrome_trace(obj)
         reloaded = validate_chrome_trace_file(str(path))
         assert reloaded == json.loads(json.dumps(obj))
+
+    def test_streamed_bytes_equal_json_dumps(self, tracer):
+        other = traced_run(iterations=2)
+        for tracers, metadata in (
+            (tracer, None),
+            ({"a": tracer, "b": other}, {"k": 1, "argv": ["run", "x"]}),
+        ):
+            buf = io.StringIO()
+            write_chrome_trace(buf, tracers, metadata=metadata)
+            want = json.dumps(chrome_trace_dict(tracers, metadata=metadata))
+            assert buf.getvalue() == want
+
+    def test_streamed_bytes_equal_json_dumps_edge_values(self):
+        # Non-finite floats, non-ASCII names and nested attrs take the
+        # encoder's slow paths; the streamed bytes must still match.
+        t = Tracer(sample_every_ns=None, check_invariants=False)
+        t.kernel(0, 0.0, float("inf"), iteration=0)
+        t.fault_injected("link_fail", "gpü0->*", -0.0, 5.5, links=("a", 'b"c'))
+        t.link_state_change("gpü0->sw0", "down", float("nan"))
+        buf = io.StringIO()
+        write_chrome_trace(buf, {"rün \u2603": t})
+        assert buf.getvalue() == json.dumps(chrome_trace_dict({"rün \u2603": t}))
+
+    def test_returned_events_are_the_written_ones(self, tracer):
+        obj = write_chrome_trace(io.StringIO(), tracer, metadata={"k": 1})
+        want = chrome_trace_dict(tracer, metadata={"k": 1})
+        assert len(obj["traceEvents"]) == len(want["traceEvents"])
+        assert list(obj["traceEvents"]) == want["traceEvents"]
+        assert obj["metadata"] == want["metadata"]
+        assert obj["displayTimeUnit"] == want["displayTimeUnit"]
 
     def test_phases_match_kinds(self, tracer):
         obj = chrome_trace_dict(tracer)
@@ -79,6 +111,35 @@ class TestChromeTrace:
         buf = io.StringIO()
         write_chrome_trace(buf, tracer)
         validate_chrome_trace(json.loads(buf.getvalue()))
+
+
+class TestPinnedBytes:
+    """The exported bytes of a fixed traced run, pinned.
+
+    The digests were recorded before the tracer's emission path and the
+    Chrome writer were rewritten for speed; any change in event order,
+    attributes, counter samples or encoding shows up here."""
+
+    def test_ct_finepack_export_digests(self):
+        tracer = Tracer(sample_every_ns=2_000.0)
+        spec = RunSpec(
+            workload="ct",
+            workload_params={"total_corrections": 3000},
+            paradigm="finepack",
+            n_gpus=4,
+            iterations=2,
+        )
+        RunContext(spec, tracer=tracer).run()
+        chrome, jsonl = io.StringIO(), io.StringIO()
+        write_chrome_trace(chrome, {"ct": tracer}, metadata={"k": 1})
+        write_jsonl(jsonl, tracer)
+        assert len(tracer.events) == 2737
+        assert hashlib.sha256(chrome.getvalue().encode()).hexdigest() == (
+            "817bba31a62ffe5f515bb8fc12f9e82d48d1d19fcfdebbdb9c198a90ab4516b4"
+        )
+        assert hashlib.sha256(jsonl.getvalue().encode()).hexdigest() == (
+            "8c6dbc7991eee6954708977bdf6782a5ebdbaecbdb0b0d89c57dab0036cf8e57"
+        )
 
 
 class TestValidator:

@@ -139,14 +139,15 @@ class TestTransmitBatch:
             for t in np.sort(rng.uniform(0, 500, size=100))
         ]
         a = Link("a", bytes_per_ns=2.0)
-        seq = [a.transmit(m, m.issue_time)[1] for m in msgs]
+        seq = [a.transmit(m, m.issue_time) for m in msgs]
 
         b = Link("b", bytes_per_ns=2.0)
         _, _, payload, overhead, kind, issue, packed = arrays_from_messages(msgs)
-        deliveries = b.transmit_batch(
+        starts, ends = b.transmit_batch(
             issue, payload + overhead, payload, overhead, packed, kind
         )
-        assert deliveries.tolist() == seq
+        assert starts.tolist() == [start for start, _ in seq]
+        assert (ends + b.propagation_ns).tolist() == [done for _, done in seq]
         assert b.busy_until == a.busy_until
         assert b.stats == a.stats
         assert list(b.stats.by_kind) == list(a.stats.by_kind)

@@ -16,6 +16,7 @@ from repro.core.config import FinePackConfig
 from repro.core.egress import FinePackEgress
 from repro.interconnect.message import MessageKind
 from repro.interconnect.pcie import PCIE_GEN4, PCIeProtocol
+from repro.obs import EventKind, Tracer
 from repro.perf.config import PerfConfig, perf_overrides
 from repro.perf.harness import fingerprint_metrics
 from repro.run import RunContext, RunSpec, TraceCache
@@ -138,11 +139,63 @@ def test_stateful_configurations_decline(kwargs):
     assert engine.phase_ops(addrs, sizes, dsts, times, is_atomic, 1e3) is None
 
 
-def test_attached_tracer_declines():
+def _traced_engine() -> FinePackEgress:
     engine = _engine()
-    engine.tracer = object()
-    addrs, sizes, dsts, times, is_atomic = _columns(n=20)
-    assert engine.phase_ops(addrs, sizes, dsts, times, is_atomic, 1e3) is None
+    # A short cadence puts counter samples inside the phases.
+    engine.tracer = Tracer(sample_every_ns=100.0)
+    return engine
+
+
+def _wide_columns():
+    """Stores spread over many lines: partitions fill up, so inserts
+    force ``entries_full`` flushes."""
+    addrs, sizes, dsts, times, is_atomic = _columns(n=400)
+    rng = np.random.default_rng(5)
+    addrs = (rng.integers(0, 1 << 16, addrs.size) & ~15).astype(np.int64)
+    return addrs, sizes, dsts, times, is_atomic
+
+
+@pytest.mark.parametrize(
+    "columns,flush_reason",
+    [(_columns, "atomic_conflict"), (_wide_columns, "entries_full")],
+    ids=["atomic-conflicts", "insert-flushes"],
+)
+def test_traced_phase_ops_matches_per_op_hooks(columns, flush_reason):
+    addrs, sizes, dsts, times, is_atomic = columns()
+    fast, untraced, scalar = _traced_engine(), _engine(), _traced_engine()
+    # Phase 1 records the template, phases 2-3 replay it: the tracer
+    # sees the per-op hooks' events either way.
+    for k in range(3):
+        shift = 1000.0 * k
+        cols = (addrs, sizes, dsts, times + shift, is_atomic, 1000.0 + shift)
+        got = fast.phase_ops(*cols)
+        plain = untraced.phase_ops(*cols)
+        want = _run_scalar(scalar, *cols)
+        assert [_message_view(m) for m in got] == [_message_view(m) for m in want]
+        assert [_message_view(m) for m in plain] == [_message_view(m) for m in want]
+    assert len(fast._memo) == 1
+    assert fast.tracer.events == scalar.tracer.events
+    names = {e.name for e in fast.tracer.events}
+    assert f"flush:{flush_reason}" in names
+    assert any(e.kind is EventKind.COUNTER_SAMPLE for e in fast.tracer.events)
+    assert fast.tracer.summary() == scalar.tracer.summary()
+    assert _partition_stats(fast) == _partition_stats(scalar)
+
+
+def test_tracer_attached_after_untraced_recording():
+    # A template recorded untraced holds no tracer records: the traced
+    # phase re-records it instead of replaying an event-less template.
+    addrs, sizes, dsts, times, is_atomic = _columns()
+    fast, scalar = _engine(), _engine()
+    fast.phase_ops(addrs, sizes, dsts, times, is_atomic, 1000.0)
+    _run_scalar(scalar, addrs, sizes, dsts, times, is_atomic, 1000.0)
+    fast.tracer, scalar.tracer = Tracer(), Tracer()
+    cols = (addrs, sizes, dsts, times + 1000.0, is_atomic, 2000.0)
+    got = fast.phase_ops(*cols)
+    want = _run_scalar(scalar, *cols)
+    assert [_message_view(m) for m in got] == [_message_view(m) for m in want]
+    assert fast.tracer.events == scalar.tracer.events
+    assert fast._memo[next(iter(fast._memo))].rwq_records is not None
 
 
 def test_patched_hooks_decline():

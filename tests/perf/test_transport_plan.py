@@ -33,8 +33,22 @@ def _random_stream(n_gpus: int, n_msgs: int, seed: int):
     )
 
 
+class _HopRecorder:
+    """Collects the (start, end) of every scalar link transmission."""
+
+    def __init__(self) -> None:
+        self.hops: list[tuple[float, float]] = []
+
+    def link_transmit(self, link_name, msg, start_ns, end_ns, credit_bytes=None):
+        self.hops.append((start_ns, end_ns))
+
+
 def _scalar_deliveries(topology, src, dst, issue, payload, overhead):
+    """Scalar delivery times, plus each message's per-hop (start, end)."""
+    recorder = _HopRecorder()
+    topology.set_tracer(recorder)
     out = np.empty(issue.size, dtype=np.float64)
+    hops = []
     for i in range(issue.size):
         msg = WireMessage(
             src=int(src[i]),
@@ -45,7 +59,10 @@ def _scalar_deliveries(topology, src, dst, issue, payload, overhead):
             issue_time=float(issue[i]),
         )
         out[i] = topology.route(msg, float(issue[i]))
-    return out
+        hops.append(recorder.hops)
+        recorder.hops = []
+    topology.set_tracer(None)
+    return out, hops
 
 
 @pytest.mark.parametrize(
@@ -66,7 +83,7 @@ def test_transmit_flat_matches_scalar_routing(factory, kwargs):
     batch_topo = factory(**kwargs)
     plan = build_plan(batch_topo)
     assert plan is not None
-    fast = transmit_flat(
+    fast, hop_start, hop_end = transmit_flat(
         batch_topo,
         plan,
         src,
@@ -80,10 +97,17 @@ def test_transmit_flat_matches_scalar_routing(factory, kwargs):
     )
 
     scalar_topo = factory(**kwargs)
-    scalar = _scalar_deliveries(scalar_topo, src, dst, issue, payload, overhead)
+    scalar, scalar_hops = _scalar_deliveries(
+        scalar_topo, src, dst, issue, payload, overhead
+    )
 
     # Bit-identical timings and identical per-link accounting.
     assert fast.tobytes() == scalar.tobytes()
+    for i, hops in enumerate(scalar_hops):
+        n_hops = len(hops)
+        assert n_hops == len(plan.routes[(int(src[i]), int(dst[i]))])
+        assert hop_start[i, :n_hops].tolist() == [start for start, _ in hops]
+        assert hop_end[i, :n_hops].tolist() == [end for _, end in hops]
     fast_stats = batch_topo.all_stats()
     scalar_stats = scalar_topo.all_stats()
     assert fast_stats.keys() == scalar_stats.keys()

@@ -130,6 +130,27 @@ class TestForWorkload:
         assert dict(spec.workload_params) == {"n": 128}
         assert spec.n_gpus == 2
 
+    def test_name_and_default_instance_share_keys(self):
+        # The CLI builds specs from instances, API callers from names:
+        # both must address the same trace-cache and outcome entries.
+        by_instance = RunSpec.for_workload(JacobiWorkload())
+        by_name = RunSpec(workload="jacobi")
+        explicit = RunSpec(workload="jacobi", workload_params={"n": 2048})
+        for spec in (by_instance, explicit):
+            assert spec == by_name
+            assert spec.key() == by_name.key()
+            assert spec.trace_key() == by_name.trace_key()
+
+    def test_non_default_param_changes_keys(self):
+        by_name = RunSpec(workload="jacobi")
+        for spec in (
+            RunSpec.for_workload(JacobiWorkload(n=128)),
+            # Same value, different type: the workload would see a float.
+            RunSpec(workload="jacobi", workload_params={"n": 2048.0}),
+        ):
+            assert spec.key() != by_name.key()
+            assert spec.trace_key() != by_name.trace_key()
+
     def test_unregistered_class_rejected(self):
         class Rogue:
             name = "rogue"

@@ -65,6 +65,14 @@ class TestCompare:
         assert "speedup" in text
         assert "p2p" in text and "finepack" in text
 
+    def test_no_strict_is_a_usage_error(self, capsys):
+        # Every paradigm column is needed, so compare always runs
+        # strict; argparse rejects the flag instead of ignoring it.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", "diffusion", "--gpus", "2", "--no-strict")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-strict" in capsys.readouterr().err
+
 
 class TestTraceReplay:
     def test_roundtrip(self, tmp_path):

@@ -14,7 +14,16 @@ shared pre-warmed trace caches:
   paradigms on a 16-GPU fat tree (fanout 4) -- the hop-overlapping
   shape the event-ordered batch transport keeps on the fast path.
 
-A third suite, **trace_stream**, measures memory instead of time: two
+The **traced** suite measures what observing a run costs: one
+pagerank/finepack run (4 GPUs, 3 iterations, warm trace cache) timed
+untraced and with a :class:`~repro.obs.Tracer` attached, plus the
+traced run's Chrome-trace export to a temporary file.  It records
+``overhead_x`` (traced over untraced wall clock, medians of
+``TRACED_REPEATS``) and ``export_s``; the gate requires
+``overhead_x <= --max-trace-overhead`` and the traced run's metrics to
+fingerprint like the untraced run's.
+
+A fourth suite, **trace_stream**, measures memory instead of time: two
 subprocesses generate the same ~13M-op CT trace through the trace
 cache, one spilling column chunks as they are produced (streaming, the
 default) and one materializing the whole trace first, and each reports
@@ -33,6 +42,7 @@ Gates (all must pass for exit 0):
 
 * absolute speedup floors: core >= ``--min-speedup`` (default 2.5x),
   collectives >= ``--min-collective-speedup`` (default 2.0x);
+* traced-run overhead <= ``--max-trace-overhead`` (default 3.8x);
 * ``--check BASELINE`` additionally compares against a committed
   ``BENCH_core.json`` and fails if a measured speedup drops below
   ``--threshold`` (default 0.75) times the baseline's.  The gate is a
@@ -45,6 +55,7 @@ Usage::
     python tools/bench_perf.py [--out BENCH_core.json]
                                [--check BENCH_core.json] [--threshold 0.75]
                                [--min-speedup 2.5] [--min-collective-speedup 2.0]
+                               [--max-trace-overhead 3.8]
                                [--skip-collectives]
 """
 
@@ -53,16 +64,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(_SRC))
 
-from repro.perf.harness import profile_run  # noqa: E402
-from repro.run import RunSpec, TraceCache  # noqa: E402
+from repro.obs import Tracer, write_chrome_trace  # noqa: E402
+from repro.perf.harness import fingerprint_metrics, profile_run  # noqa: E402
+from repro.run import RunContext, RunSpec, TraceCache  # noqa: E402
 
 WORKLOADS = ("als", "ct", "diffusion", "eqwp", "hit", "jacobi", "pagerank", "sssp")
 COLLECTIVES = ("allreduce_ring", "allreduce_tree", "allgather", "alltoall", "pipeline")
@@ -75,6 +89,17 @@ COLLECTIVE_SUITE = {
     "topology": "fat_tree",
     "topology_params": {"fanout": 4},
 }
+
+
+#: The traced-run shape: the irregular FinePack run whose per-packet
+#: and per-link breakdowns a trace is recorded for.
+TRACED_SPEC = {
+    "workload": "pagerank",
+    "paradigm": "finepack",
+    "n_gpus": 4,
+    "iterations": 3,
+}
+TRACED_REPEATS = 3
 
 
 def _topology_params(args) -> dict:
@@ -179,6 +204,58 @@ def bench(name: str, specs) -> dict:
         },
         "runs": {"fast": fast_rows, "scalar": scalar_rows},
     }
+
+
+def bench_traced() -> dict:
+    """Traced vs untraced wall clock of one run, plus its export."""
+    spec = RunSpec(**TRACED_SPEC)
+    cache = TraceCache()
+    print("[traced] warming trace cache ...", flush=True)
+    cache.get_or_generate(spec)
+    untraced_s, traced_s, export_s = [], [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(TRACED_REPEATS):
+            t0 = time.perf_counter()
+            plain = RunContext(spec, trace_cache=cache).run()
+            untraced_s.append(time.perf_counter() - t0)
+            tracer = Tracer()
+            t0 = time.perf_counter()
+            traced = RunContext(spec, trace_cache=cache, tracer=tracer).run()
+            traced_s.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            write_chrome_trace(str(Path(tmp) / "trace.json"), tracer)
+            export_s.append(time.perf_counter() - t0)
+    untraced = statistics.median(untraced_s)
+    traced_median = statistics.median(traced_s)
+    block = {
+        "spec": TRACED_SPEC,
+        "events": len(tracer.events),
+        "untraced_s": round(untraced, 3),
+        "traced_s": round(traced_median, 3),
+        "overhead_x": round(traced_median / untraced, 3),
+        "export_s": round(statistics.median(export_s), 3),
+        "same_metrics": fingerprint_metrics(plain) == fingerprint_metrics(traced),
+    }
+    print(
+        f"  untraced {block['untraced_s']:.2f} s, traced {block['traced_s']:.2f} s "
+        f"({block['overhead_x']:.2f}x), export {block['export_s']:.2f} s"
+    )
+    return block
+
+
+def gate_traced(block: dict, max_overhead: float) -> bool:
+    """``True`` means the traced-run gate failed."""
+    failed = False
+    if not block["same_metrics"]:
+        print("FAIL [traced]: tracing changed the run's metrics")
+        failed = True
+    if block["overhead_x"] > max_overhead:
+        print(
+            f"FAIL [traced]: a traced run takes {block['overhead_x']:.2f}x "
+            f"its untraced time (gate: <= {max_overhead:.2f}x)"
+        )
+        failed = True
+    return failed
 
 
 #: Self-reporting child for the trace_stream suite: generates one
@@ -344,6 +421,14 @@ def main(argv=None) -> int:
         "most this fraction of whole-trace generation's (default 0.5, "
         "i.e. a >=2x reduction)",
     )
+    ap.add_argument(
+        "--max-trace-overhead",
+        type=float,
+        default=3.8,
+        help="traced-run gate: a traced run may take at most this many "
+        "times its untraced wall clock (default 3.8: the 3.05x measured "
+        "when the gate was set, plus 25%% headroom)",
+    )
     ap.add_argument("--gpus", type=int, default=4, help="core-suite GPU count")
     ap.add_argument("--iterations", type=int, default=3)
     ap.add_argument(
@@ -390,6 +475,9 @@ def main(argv=None) -> int:
             **{k: v for k, v in collectives.items() if k != "mismatches"},
         }
 
+    traced = bench_traced()
+    report["traced"] = traced
+
     trace_stream = None
     if not args.skip_trace_stream:
         trace_stream = bench_trace_stream()
@@ -399,6 +487,7 @@ def main(argv=None) -> int:
     line = f"wrote {args.out}: core speedup {core['speedup']:.2f}x"
     if collectives is not None:
         line += f", collectives speedup {collectives['speedup']:.2f}x"
+    line += f", traced overhead {traced['overhead_x']:.2f}x"
     if trace_stream is not None:
         line += f", stream RSS ratio {trace_stream['rss_ratio']:.2f}x"
     print(line)
@@ -423,6 +512,7 @@ def main(argv=None) -> int:
             base_coll,
             args.threshold,
         )
+    failed |= gate_traced(traced, args.max_trace_overhead)
     if trace_stream is not None:
         failed |= gate_trace_stream(trace_stream, args.max_stream_rss_ratio)
     return 1 if failed else 0
